@@ -163,6 +163,14 @@ def steering_vector(geom, angle):
     return np.exp(-1j * geom.wavenumber_scale * m * math.sin(angle))
 
 
+def attack_wavefront(geom, attacker):
+    """A q = sum_i q_i a(theta_hat_i), the attacker's noiseless array response."""
+    combined = np.zeros(geom.num_elements, dtype=complex)
+    for angle, q in zip(attacker.angles, attacker.precoders):
+        combined += q * steering_vector(geom, angle)
+    return combined
+
+
 def _noise_block(rng, num_elements, num_snapshots, snr):
     if math.isinf(snr):
         return np.zeros((num_elements, num_snapshots), dtype=complex)
@@ -194,10 +202,7 @@ def synthesize_attack(geom, attacker, noise, num_snapshots, seed):
     if num_snapshots < 1:
         raise ValueError("num_snapshots must be >= 1")
     rng = np.random.default_rng(seed)
-    combined = np.zeros(geom.num_elements, dtype=complex)
-    for angle, q in zip(attacker.angles, attacker.precoders):
-        combined += q * steering_vector(geom, angle)
-    samples = combined[:, None] + _noise_block(
+    samples = attack_wavefront(geom, attacker)[:, None] + _noise_block(
         rng, geom.num_elements, num_snapshots, noise.snr_attacker
     )
     return SignalBlock(samples, origin="attack")

@@ -2,12 +2,19 @@
 
 The MSE between the legitimate and adversarial signals at Bob is
 
-    zeta = M - a^H A q - q^H A^H a + q^H G q + 1/snr_legit + 1/snr_attacker
+    zeta = ||a - A q||^2 + 1/snr_legit + 1/snr_attacker
+         = M - a^H A q - q^H A^H a + q^H G q + 1/snr_legit + 1/snr_attacker
 
 with a the legitimate steering vector, A the stacked attacker steering
 vectors, q the complex precoders and G = A^H A. The deterministic part
-(everything except the noise floor) vanishes only when all attacker angles
-alias the legitimate one (sin equality) and the precoders sum to 1.
+delta = ||a - A q||^2 (everything except the noise floor) vanishes only
+when all attacker angles alias the legitimate one (sin equality) and the
+precoders sum to 1.
+
+`mse_delta` evaluates delta in the direct form, batched over sweep
+points. The paper's expanded form (`gram_matrix`,
+`two_antenna_coefficients`, `dirichlet_ratio`) is kept as closed forms
+that the tests check the direct form against.
 """
 
 from __future__ import annotations
@@ -18,18 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import AttackerConfig, NoiseModel, steering_vector, _noise_block
-
-TWO_PI = 2.0 * math.pi
+from .arrays import TWO_PI, _noise_block, attack_wavefront, steering_vector
 
 __all__ = [
-    "AttackerConfig",
     "MseBreakdown",
     "AggregatePrecoder",
     "OptimalSinglePrecoder",
     "TwoAntennaCoefficients",
     "OptimumCheck",
     "dirichlet_ratio",
+    "mse_delta",
     "mse_closed_form",
     "mse_delta_single",
     "mse_gradient_single",
@@ -94,19 +99,31 @@ class OptimumCheck:
     detail: str
 
 
+# pi = _PI_HI + _PI_LO to ~1e-26; _PI_HI has 32 significant bits, so
+# k * _PI_HI is exact for |k| < 2**21 (element spacings below ~10**6 wavelengths)
+_PI_HI = float.fromhex("0x1.921fb54400000p+1")
+_PI_LO = float.fromhex("0x1.0b4611a626331p-33")
+
+
 def dirichlet_ratio(geom, alpha):
     """sin(M*kappa*alpha/2) / sin(kappa*alpha/2).
 
-    The removable singularity at kappa*alpha = 0 (mod 2*pi) is evaluated
-    by its limit M*cos(M*x)/cos(x), which carries the correct sign at
-    grating-lobe aliases.
+    With x = kappa*alpha/2 = k*pi + y, the ratio is
+    (-1)^(k*(M-1)) * sin(M*y) / sin(y). Reducing x by the nearest multiple
+    of pi first keeps full relative precision next to a grating-lobe alias
+    (x near k*pi, k != 0), where sin(M*x) and sin(x) are both tiny and the
+    rounding of M*x would otherwise swamp sin(M*x). The removable
+    singularity at y = 0 is evaluated by its limit M*cos(M*y)/cos(y).
     """
     m = geom.num_elements
     x = 0.5 * geom.wavenumber_scale * alpha
-    s = math.sin(x)
+    k = round(x / math.pi)
+    y = (x - k * _PI_HI) - k * _PI_LO
+    sign = -1.0 if k * (m - 1) % 2 else 1.0
+    s = math.sin(y)
     if abs(s) < 1e-12:
-        return m * math.cos(m * x) / math.cos(x)
-    return math.sin(m * x) / s
+        return sign * m * math.cos(m * y) / math.cos(y)
+    return sign * math.sin(m * y) / s
 
 
 def _phased_sum(geom, gap):
@@ -201,17 +218,29 @@ def two_antenna_coefficients(geom, theta, theta_hat0, theta_hat1):
     )
 
 
+def mse_delta(geom, theta, angles, precoders):
+    """delta = ||a(theta) - sum_l q_l a(theta_hat_l)||^2, batched over sweep points.
+
+    `theta` has shape S; `angles` and `precoders` have shape S + (L,), or
+    any shape whose leading axes broadcast against S, e.g. (L,) when one
+    attacker is shared by the whole sweep. Returns an array of the
+    broadcast shape S. The sum runs over the M array elements one at a
+    time, so memory stays at a few arrays of the sweep's size.
+    """
+    s = np.sin(np.asarray(theta, dtype=float))
+    sines = np.sin(np.asarray(angles, dtype=float))
+    q = np.asarray(precoders, dtype=complex)
+    kappa = geom.wavenumber_scale
+    delta = 0.0
+    for m in range(geom.num_elements):
+        resid = np.exp(-1j * kappa * m * s) - np.sum(q * np.exp(-1j * kappa * m * sines), axis=-1)
+        delta = delta + (resid.real**2 + resid.imag**2)
+    return delta
+
+
 def mse_closed_form(geom, theta, attacker, noise):
-    """Closed-form MSE for an arbitrary attacker configuration."""
-    a = steering_vector(geom, theta)
-    stacked = np.column_stack([steering_vector(geom, ang) for ang in attacker.angles])
-    q = attacker.precoders
-    g = gram_matrix(geom, attacker.angles)
-    cross = np.vdot(a, stacked @ q)  # a^H A q
-    quad = float(np.real(np.vdot(q, g @ q)))
-    delta = float(geom.num_elements - 2.0 * cross.real + quad)
-    # the quadratic form is a squared norm; clamp round-off below zero
-    delta = max(delta, 0.0)
+    """MSE of one attacker configuration against the legitimate angle theta."""
+    delta = float(mse_delta(geom, theta, attacker.angles, attacker.precoders))
     alpha = None
     if attacker.num_antennas == 1:
         alpha = math.sin(theta) - math.sin(attacker.angles[0])
@@ -257,11 +286,7 @@ def monte_carlo_mse(geom, theta, attacker, noise, trials, seed):
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    a = steering_vector(geom, theta)
-    combined = np.zeros(geom.num_elements, dtype=complex)
-    for angle, q in zip(attacker.angles, attacker.precoders):
-        combined += q * steering_vector(geom, angle)
-    diff0 = a - combined
+    diff0 = steering_vector(geom, theta) - attack_wavefront(geom, attacker)
     rng = np.random.default_rng(seed)
     n = _noise_block(rng, geom.num_elements, trials, noise.snr_legit)
     n_hat = _noise_block(rng, geom.num_elements, trials, noise.snr_attacker)

@@ -101,18 +101,21 @@ def far_frr_sweep(
         raise ValueError("threshold list is empty")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+
+    def deviation(block):
+        # a degenerate spectrum yields no angle: infinite deviation, a reject
+        try:
+            return abs(estimate_aoa(block, geom, num_sources=1, grid_step=grid_step)[0] - theta)
+        except DegenerateSpectrumError:
+            return math.inf
+
     legit_dev = []
     attack_dev = []
     for t in range(trials):
         block = synthesize_legitimate(geom, theta, noise, num_snapshots, derive_rng(seed, 0, t))
-        est = estimate_aoa(block, geom, num_sources=1, grid_step=grid_step)[0]
-        legit_dev.append(abs(est - theta))
+        legit_dev.append(deviation(block))
         block = synthesize_attack(geom, attacker, noise, num_snapshots, derive_rng(seed, 1, t))
-        try:
-            est = estimate_aoa(block, geom, num_sources=1, grid_step=grid_step)[0]
-            attack_dev.append(abs(est - theta))
-        except DegenerateSpectrumError:
-            attack_dev.append(math.inf)
+        attack_dev.append(deviation(block))
     out = []
     for thr in thresholds:
         far = sum(d <= thr for d in attack_dev) / trials

@@ -14,12 +14,19 @@ from pathlib import Path
 import numpy as np
 
 from . import svgfig
-from .arrays import ArrayGeometry, AttackerConfig, NoiseModel, derive_rng, synthesize_attack, synthesize_legitimate
-from .attack import mse_closed_form, monte_carlo_mse
+from .arrays import (
+    TWO_PI,
+    ArrayGeometry,
+    AttackerConfig,
+    NoiseModel,
+    derive_rng,
+    synthesize_attack,
+    synthesize_legitimate,
+)
+from .attack import monte_carlo_mse, mse_delta
 from .music import estimate_aoa
 
 VERSION = "0.1.0"
-TWO_PI = 2.0 * math.pi
 
 FIGURE_IDS = ("fig2", "fig3", "fig3d_same", "fig3d_diff", "fig5", "fig6", "fig7")
 
@@ -82,6 +89,15 @@ _DEFAULTS = {
 }
 
 
+def _shape(value):
+    """Nesting of a figure parameter: 'a scalar', 'a flat tuple' or 'a tuple of pairs'."""
+    if not isinstance(value, (tuple, list)):
+        return "a scalar"
+    if value and all(isinstance(v, (tuple, list)) and len(v) == 2 for v in value):
+        return "a tuple of pairs"
+    return "a flat tuple"
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     figure_id: str
@@ -93,11 +109,16 @@ class ExperimentConfig:
         if self.figure_id not in FIGURE_IDS:
             raise ValueError(f"unknown figure_id {self.figure_id!r}; expected one of {FIGURE_IDS}")
         known = _DEFAULTS[self.figure_id]
-        for key in self.overrides:
+        for key, value in self.overrides.items():
             if key not in known:
                 raise ValueError(
                     f"unknown override {key!r} for {self.figure_id}; "
                     f"known parameters: {sorted(known)}"
+                )
+            if _shape(value) != _shape(known[key]):
+                raise ValueError(
+                    f"override {key!r} for {self.figure_id} must be {_shape(known[key])}, "
+                    f"got {_shape(value)} {value!r}"
                 )
 
     def params(self):
@@ -160,6 +181,23 @@ def _best_case_attacker(theta_hat, num_antennas):
         (1.0 / num_antennas,) * num_antennas,
         (0.0,) * num_antennas,
     )
+
+
+def _precoders(betas, phis):
+    """beta * e^{j*phi}, broadcast, with phi wrapped to [0, 2*pi) as AttackerConfig stores it."""
+    return np.asarray(betas, dtype=float) * np.exp(1j * (np.asarray(phis) % TWO_PI))
+
+
+def _best_case_precoders(nums):
+    """Precoders of best-case attackers of every size in `nums`, one row each.
+
+    Row i holds nums[i] precoders 1/nums[i], padded to max(nums) with
+    zero-precoder antennas, which add nothing to the wavefront.
+    """
+    precoders = np.zeros((len(nums), max(nums)))
+    for i, num in enumerate(nums):
+        precoders[i, :num] = 1.0 / num
+    return precoders
 
 
 # --------------------------------------------------------------------------
@@ -248,15 +286,17 @@ def run_fig3(config):
     noise = NoiseModel.from_db(p["snr_db"])
     phis = np.linspace(0.0, TWO_PI, p["phi_points"])
     columns = ["phi0_rad", "beta0", "beta1", "zeta_theory", "zeta_sim", "zeta_sim_stderr"]
+    # theory[pair_idx, k] over the (beta pair, phi) grid
+    precoders = _precoders(np.asarray(p["beta_pairs"])[:, None, :], phis[:, None])
+    theory = mse_delta(geom, p["theta"], (p["theta"], p["theta"]), precoders) + noise.floor
     rows = []
     for pair_idx, (b0, b1) in enumerate(p["beta_pairs"]):
         for k, phi in enumerate(phis):
             attacker = AttackerConfig((p["theta"], p["theta"]), (b0, b1), (phi, phi))
-            theory = mse_closed_form(geom, p["theta"], attacker, noise).zeta
             sim, stderr = monte_carlo_mse(
                 geom, p["theta"], attacker, noise, p["trials"], derive_rng(config.seed, pair_idx, k)
             )
-            rows.append((float(phi), float(b0), float(b1), theory, sim, stderr))
+            rows.append((float(phi), float(b0), float(b1), float(theory[pair_idx, k]), sim, stderr))
     return ResultTable(columns, rows, _metadata(config, p))
 
 
@@ -296,13 +336,10 @@ def run_fig3d(config):
     noise = NoiseModel.from_db(p["snr_db"])
     phis = np.linspace(0.0, TWO_PI, p["phi_points"])
     columns = ["phi0_rad", "phi1_rad", "zeta"]
-    rows = []
-    b0, b1 = p["betas"]
-    th0, th1 = p["theta_hats"]
-    for phi0 in phis:
-        for phi1 in phis:
-            attacker = AttackerConfig((th0, th1), (b0, b1), (phi0, phi1))
-            rows.append((float(phi0), float(phi1), mse_closed_form(geom, p["theta"], attacker, noise).zeta))
+    phi0, phi1 = np.meshgrid(phis, phis, indexing="ij")
+    precoders = _precoders(p["betas"], np.stack([phi0, phi1], axis=-1))
+    zeta = mse_delta(geom, p["theta"], p["theta_hats"], precoders) + noise.floor
+    rows = [(float(a), float(b), float(z)) for a, b, z in zip(phi0.ravel(), phi1.ravel(), zeta.ravel())]
     return ResultTable(columns, rows, _metadata(config, p))
 
 
@@ -343,14 +380,13 @@ def run_fig5(config):
     p = config.params()
     geom = ArrayGeometry(p["num_rx_antennas"])
     columns = ["snr_eve_db", "num_attacker_antennas", "zeta"]
+    nums = p["num_attacker_antennas"]
+    deltas = mse_delta(geom, p["theta"], p["theta"], _best_case_precoders(nums))
     rows = []
-    for num in p["num_attacker_antennas"]:
-        attacker = _best_case_attacker(p["theta"], num)
+    for num, delta in zip(nums, deltas):
         for snr_eve_db in p["snr_eve_db"]:
-            noise = NoiseModel.from_db(p["snr_alice_db"], snr_eve_db)
-            rows.append(
-                (float(snr_eve_db), int(num), mse_closed_form(geom, p["theta"], attacker, noise).zeta)
-            )
+            floor = NoiseModel.from_db(p["snr_alice_db"], snr_eve_db).floor
+            rows.append((float(snr_eve_db), int(num), float(delta) + floor))
     return ResultTable(columns, rows, _metadata(config, p))
 
 
@@ -391,15 +427,15 @@ def run_fig6(config):
     kmax = int(math.floor(math.pi / step))
     grid = step * np.arange(-kmax, kmax + 1)
     columns = ["theta_hat_e_rad"] + [f"zeta_theta_{theta}" for theta in p["thetas"]]
-    num = p["num_attacker_antennas"]
-    rows = []
-    for th_e in grid:
-        attacker = _best_case_attacker(float(th_e), num)
-        row = [float(th_e)]
-        for theta in p["thetas"]:
-            row.append(mse_closed_form(geom, theta, attacker, noise).zeta)
-        rows.append(tuple(row))
+    zeta = _best_case_delta(geom, p["thetas"], grid[:, None], p["num_attacker_antennas"]) + noise.floor
+    rows = [(float(th_e),) + tuple(float(z) for z in zs) for th_e, zs in zip(grid, zeta)]
     return ResultTable(columns, rows, _metadata(config, p))
+
+
+def _best_case_delta(geom, theta, theta_hat, num_antennas):
+    """mse_delta of `_best_case_attacker(theta_hat, num_antennas)`, batched over theta_hat."""
+    angles = np.asarray(theta_hat, dtype=float)[..., None]
+    return mse_delta(geom, theta, angles, np.full(num_antennas, 1.0 / num_antennas))
 
 
 def _local_minima(values):
@@ -433,14 +469,11 @@ def _check_fig6(table):
     err = abs(float(np.min(zeta)) - floor)
     results.append(CheckResult("minimum_is_noise_floor", err <= 1e-12, f"|min - {floor!r}| = {err:.3e}"))
     geom = ArrayGeometry(p["num_rx_antennas"])
-    noise = NoiseModel.from_db(p["snr_db"])
-    sym_defect = 0.0
-    for th_e in grid[:: max(len(grid) // 64, 1)]:
-        z1 = mse_closed_form(geom, theta, _best_case_attacker(float(th_e), p["num_attacker_antennas"]), noise).zeta
-        z2 = mse_closed_form(
-            geom, theta, _best_case_attacker(float(math.pi - th_e), p["num_attacker_antennas"]), noise
-        ).zeta
-        sym_defect = max(sym_defect, abs(z1 - z2))
+    probes = grid[:: max(len(grid) // 64, 1)]
+    num = p["num_attacker_antennas"]
+    # the noise floor cancels in zeta(t) - zeta(pi - t)
+    defects = _best_case_delta(geom, theta, probes, num) - _best_case_delta(geom, theta, math.pi - probes, num)
+    sym_defect = float(np.max(np.abs(defects)))
     results.append(
         CheckResult("sine_alias_symmetry", sym_defect <= 1e-12, f"max |zeta(t) - zeta(pi-t)| = {sym_defect:.3e}")
     )
@@ -461,16 +494,20 @@ def run_fig7(config):
         "zeta_misaligned_sim",
         "zeta_misaligned_stderr",
     ]
+    nums = p["num_attacker_antennas"]
+    theta_hats = (p["theta"], p["theta"] + p["angle_gap"])
+    # theory[cond, idx] for the aligned (cond 0) and misaligned (cond 1) attackers
+    angles = np.asarray(theta_hats)[:, None, None]
+    theory = mse_delta(geom, p["theta"], angles, _best_case_precoders(nums)) + noise.floor
     rows = []
-    for idx, num in enumerate(p["num_attacker_antennas"]):
+    for idx, num in enumerate(nums):
         row = [int(num)]
-        for cond, theta_hat in enumerate((p["theta"], p["theta"] + p["angle_gap"])):
+        for cond, theta_hat in enumerate(theta_hats):
             attacker = _best_case_attacker(theta_hat, num)
-            theory = mse_closed_form(geom, p["theta"], attacker, noise).zeta
             sim, stderr = monte_carlo_mse(
                 geom, p["theta"], attacker, noise, p["trials"], derive_rng(config.seed, idx, cond)
             )
-            row.extend([theory, sim, stderr])
+            row.extend([float(theory[cond, idx]), sim, stderr])
         rows.append(tuple(row))
     return ResultTable(columns, rows, _metadata(config, p))
 

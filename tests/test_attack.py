@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aoa_pla.arrays import ArrayGeometry, AttackerConfig, NoiseModel, steering_vector
 from aoa_pla.attack import (
@@ -11,6 +13,7 @@ from aoa_pla.attack import (
     gram_matrix,
     monte_carlo_mse,
     mse_closed_form,
+    mse_delta,
     mse_delta_single,
     mse_gradient_single,
     multi_optimum_condition,
@@ -53,6 +56,22 @@ def test_dirichlet_ratio_limits():
     phase = cmath.exp(1j * 0.5 * (16 - 1) * geom.wavenumber_scale * 2.0)
     direct = complex(np.sum(np.exp(1j * np.arange(16) * geom.wavenumber_scale * 2.0)))
     assert ratio * phase == pytest.approx(direct, abs=1e-9)
+
+
+def test_dirichlet_ratio_accurate_next_to_grating_lobe():
+    # kappa*alpha/2 a hair off k*pi: sin(M*x) and sin(x) are both tiny,
+    # so the ratio must come from a reduced argument to keep its precision
+    for m, spacing in ((3, 1.0), (16, 1.5), (20, 2.0)):
+        geom = ArrayGeometry(m, spacing)
+        kappa = geom.wavenumber_scale
+        for k in (1, 2):
+            for offset in (3e-12, 1e-10, -1e-9):
+                alpha = k / spacing + offset
+                if abs(alpha) > 2.0:
+                    continue
+                phase = cmath.exp(1j * 0.5 * (m - 1) * kappa * alpha)
+                direct = complex(np.sum(np.exp(1j * np.arange(m) * kappa * alpha)))
+                assert abs(dirichlet_ratio(geom, alpha) * phase - direct) <= 1e-12 * m
 
 
 def test_delta_single_matches_brute_force():
@@ -193,6 +212,57 @@ def test_closed_form_matches_brute_force_multi():
         assert got.zeta == pytest.approx(want + noise.floor, abs=1e-9)
         assert got.noise_floor == noise.floor
         assert got.delta >= 0.0
+
+
+@st.composite
+def _attack_scenarios(draw):
+    """Array, legitimate angle and attacker; some antennas sit on exact sine aliases."""
+    geom = ArrayGeometry(draw(st.integers(2, 24)), draw(st.floats(0.1, 2.0)))
+    theta = draw(st.floats(-math.pi / 2, math.pi / 2))
+    angles = []
+    for _ in range(draw(st.integers(1, 32))):
+        # k = 0 is the angle itself (or its pi - theta mirror); |k| >= 1 a
+        # grating-lobe alias, which needs spacing >= |k| / 2
+        k = draw(st.one_of(st.none(), st.integers(-3, 3)))
+        alias = None if k is None else math.sin(theta) + k / geom.spacing
+        if alias is not None and abs(alias) <= 1.0:
+            angle = math.asin(alias)
+            angles.append(math.pi - angle if draw(st.booleans()) else angle)
+        else:
+            angles.append(draw(st.floats(-math.pi, math.pi)))
+    betas = [draw(st.floats(0.0, 2.0)) for _ in angles]
+    phis = [draw(st.floats(0.0, 2.0 * math.pi)) for _ in angles]
+    return geom, theta, AttackerConfig(tuple(angles), tuple(betas), tuple(phis))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_attack_scenarios())
+def test_direct_form_matches_gram_expansion(scenario):
+    geom, theta, attacker = scenario
+    m = geom.num_elements
+    q = attacker.precoders
+    a = steering_vector(geom, theta)
+    stacked = np.column_stack([steering_vector(geom, ang) for ang in attacker.angles])
+    g = gram_matrix(geom, attacker.angles)
+    expanded = m - 2.0 * np.vdot(a, stacked @ q).real + np.vdot(q, g @ q).real
+    direct = mse_delta(geom, theta, attacker.angles, q)
+    assert direct >= 0.0
+    assert abs(direct - expanded) <= 1e-9 * m * (1.0 + np.sum(np.abs(q))) ** 2
+
+
+def test_mse_delta_broadcasts_over_sweep_axes():
+    rng = np.random.default_rng(8)
+    geom = ArrayGeometry(9, 0.7)
+    thetas = rng.uniform(-1.5, 1.5, size=(4, 1))
+    angles = rng.uniform(-math.pi, math.pi, size=(4, 5, 3))
+    precoders = rng.uniform(0.0, 1.0, size=(5, 3)) * np.exp(1j * rng.uniform(0.0, 6.0, size=(5, 3)))
+    got = mse_delta(geom, thetas, angles, precoders)
+    assert got.shape == (4, 5)
+    for i in range(4):
+        for j in range(5):
+            att = AttackerConfig.from_precoders(angles[i, j], precoders[j])
+            want = brute_delta_multi(geom, float(thetas[i, 0]), att)
+            assert got[i, j] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_closed_form_single_reduction():

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from aoa_pla import auth
 from aoa_pla.arrays import ArrayGeometry, AttackerConfig, NoiseModel, synthesize_attack, synthesize_legitimate
 from aoa_pla.auth import (
     AoaProfile,
@@ -80,6 +81,29 @@ def test_far_frr_monotone_in_threshold():
     assert fars == sorted(fars)
     assert frrs == sorted(frrs, reverse=True)
     assert all(0.0 <= v <= 1.0 for v in fars + frrs)
+
+
+def test_far_frr_counts_degenerate_legitimate_trial_as_reject(monkeypatch):
+    real_estimate = auth.estimate_aoa
+    legit_calls = []
+
+    def estimate(block, *args, **kwargs):
+        if block.origin == "legitimate":
+            legit_calls.append(block)
+            if len(legit_calls) == 2:
+                raise auth.DegenerateSpectrumError("injected")
+        return real_estimate(block, *args, **kwargs)
+
+    monkeypatch.setattr(auth, "estimate_aoa", estimate)
+    geom = ArrayGeometry(8)
+    noise = NoiseModel.from_db(20.0)
+    # a threshold of 10 rad accepts every angle a real estimate can give
+    [(_, far, frr)] = far_frr_sweep(
+        geom, 0.4, AttackerConfig.single(0.1), noise, [10.0], trials=4, seed=0, num_snapshots=50
+    )
+    assert len(legit_calls) == 4
+    assert frr == 0.25
+    assert far == 1.0
 
 
 def test_far_frr_validation():

@@ -249,3 +249,15 @@ def test_cli_reproduce_config_file(tmp_path, capsys):
     capsys.readouterr()
     assert rc == 0
     assert (tmp_path / "fig5__9.csv").exists()
+
+
+def test_cli_reproduce_rejects_override_of_wrong_shape(tmp_path, capsys):
+    rc = main(["reproduce", "fig3", "--out", str(tmp_path), "--set", "beta_pairs=0.5,0.5"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "beta_pairs" in err and "tuple of pairs" in err
+    rc = main(["reproduce", "fig2", "--out", str(tmp_path), "--set", "snr_db=5"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "snr_db" in err
+    assert not list(tmp_path.iterdir())
