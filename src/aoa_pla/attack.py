@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import TWO_PI, _noise_block, attack_wavefront, steering_vector
+from .arrays import TWO_PI, attack_wavefront, steering_vector
 
 __all__ = [
     "MseBreakdown",
@@ -282,15 +282,24 @@ def multi_optimum_condition(attacker, theta, tol=1e-12):
 def monte_carlo_mse(geom, theta, attacker, noise, trials, seed):
     """Empirical MSE over independent single-snapshot noise realizations.
 
+    Each trial is ||a(theta) - A q + n - n_hat||^2. The two links' noises
+    are independent circular Gaussians, so n - n_hat is drawn once as one
+    circular Gaussian w with per-element variance noise.floor / M, real and
+    imaginary parts interleaved in a real (trials, M, 2) array.
+
     Returns (mean, standard error). Deterministic given the seed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     diff0 = steering_vector(geom, theta) - attack_wavefront(geom, attacker)
+    d = np.stack([diff0.real, diff0.imag], axis=-1)
+    if noise.floor == 0.0:
+        return float(np.einsum("mc,mc->", d, d)), 0.0
     rng = np.random.default_rng(seed)
-    n = _noise_block(rng, geom.num_elements, trials, noise.snr_legit)
-    n_hat = _noise_block(rng, geom.num_elements, trials, noise.snr_attacker)
-    vals = np.sum(np.abs(diff0[:, None] + n - n_hat) ** 2, axis=0)
+    w = rng.standard_normal((trials, geom.num_elements, 2))
+    w *= math.sqrt(noise.floor / geom.num_elements / 2.0)
+    w += d
+    vals = np.einsum("tmc,tmc->t", w, w)
     mean = float(np.mean(vals))
     if trials < 2:
         return mean, 0.0

@@ -124,17 +124,46 @@ def far_frr_sweep(
     return out
 
 
+def _check_acl_entry(profile, known):
+    """Raise ValueError if `profile` cannot join an ACL that already holds `known` identities."""
+    if not (math.isfinite(profile.enrolled_angle) and math.isfinite(profile.enrollment_spread)):
+        raise ValueError(
+            f"identity {profile.identity!r} has a non-finite angle {profile.enrolled_angle!r} "
+            f"or spread {profile.enrollment_spread!r}"
+        )
+    if profile.identity in known:
+        raise ValueError(f"duplicate identity {profile.identity!r}")
+
+
 def save_acl(path, profiles):
-    """Write profiles as `identity,angle,spread,count` lines (repr precision)."""
-    lines = [
-        f"{p.identity},{p.enrolled_angle!r},{p.enrollment_spread!r},{p.num_enrollment_estimates}"
-        for p in profiles
-    ]
+    """Write profiles as `identity,angle,spread,count` lines (repr precision).
+
+    Raises ValueError, writing nothing, for a profile that `load_acl`
+    would reject or read back differently: an identity containing a comma,
+    a line break or surrounding whitespace, a repeated identity, or a
+    non-finite angle or spread.
+    """
+    known = set()
+    lines = []
+    for p in profiles:
+        ident = p.identity
+        try:
+            if "," in ident or "".join(ident.splitlines()) != ident or ident != ident.strip():
+                raise ValueError(f"identity {ident!r} contains a comma, a line break or surrounding whitespace")
+            _check_acl_entry(p, known)
+        except ValueError as exc:
+            raise ValueError(f"cannot save ACL to {path}: {exc}") from None
+        known.add(ident)
+        lines.append(f"{ident},{p.enrolled_angle!r},{p.enrollment_spread!r},{p.num_enrollment_estimates}")
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
 def load_acl(path):
-    """Read an access control list back into {identity: AoaProfile}."""
+    """Read an access control list back into {identity: AoaProfile}.
+
+    A malformed line, a non-finite angle or spread and a repeated identity
+    raise ValueError naming `path:line`.
+    """
     profiles = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
@@ -144,10 +173,15 @@ def load_acl(path):
         if len(parts) != 4:
             raise ValueError(f"{path}:{lineno}: expected 4 comma-separated fields")
         identity, angle, spread, count = parts
-        profiles[identity] = AoaProfile(
-            identity=identity,
-            enrolled_angle=float(angle),
-            enrollment_spread=float(spread),
-            num_enrollment_estimates=int(count),
-        )
+        try:
+            profile = AoaProfile(
+                identity=identity,
+                enrolled_angle=float(angle),
+                enrollment_spread=float(spread),
+                num_enrollment_estimates=int(count),
+            )
+            _check_acl_entry(profile, profiles)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        profiles[identity] = profile
     return profiles

@@ -20,7 +20,7 @@ from .arrays import ArrayGeometry, AttackerConfig, NoiseModel, SignalBlock, synt
 from .attack import mse_gradient_single, optimal_single_precoder
 from .auth import far_frr_sweep, load_acl, verify
 from .experiments import ExperimentConfig, reproduce
-from .music import DEFAULT_GRID_STEP, estimate_aoa, pseudospectrum, sample_covariance
+from .music import DEFAULT_GRID_STEP, DegenerateSpectrumError, estimate_aoa, pseudospectrum, sample_covariance
 
 OUTPUT_DIR_ENV = "AOA_PLA_OUT"
 
@@ -109,22 +109,37 @@ def _complex_literal(z):
 
 
 def read_signal_block(path, origin="legitimate"):
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    """Parse a file written by `write_signal_block`; errors name `path:line`.
+
+    Blank lines are skipped. Non-finite samples are rejected here, where
+    the block enters, so synthesized blocks are not checked again.
+    """
+    lines = [(no, ln) for no, ln in enumerate(Path(path).read_text().splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty signal block file")
+    header_no, header = lines[0]
     try:
-        m, n = (int(v) for v in lines[0].split())
+        m, n = (int(v) for v in header.split())
     except ValueError as exc:
-        raise ValueError(f"{path}: bad header line {lines[0]!r}") from exc
-    if len(lines) - 1 != n:
-        raise ValueError(f"{path}: header says {n} snapshots, file has {len(lines) - 1}")
+        raise ValueError(f"{path}:{header_no}: bad header line {header!r}") from exc
+    body = lines[1:]
+    if len(body) != n:
+        raise ValueError(f"{path}: header says {n} snapshots, file has {len(body)}")
     cols = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in body:
         entries = line.split(",")
         if len(entries) != m:
             raise ValueError(f"{path}:{lineno}: expected {m} entries, got {len(entries)}")
-        cols.append([complex(e.strip()) for e in entries])
-    return SignalBlock(np.array(cols).T, origin=origin)
+        try:
+            cols.append([complex(e.strip()) for e in entries])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: malformed complex literal in {line!r}") from None
+    samples = np.array(cols).T
+    finite = np.isfinite(samples).all(axis=0)
+    if not finite.all():
+        lineno = body[int(np.argmin(finite))][0]
+        raise ValueError(f"{path}:{lineno}: non-finite sample")
+    return SignalBlock(samples, origin=origin)
 
 
 def _add_synth_flags(parser, with_attack=False):
@@ -156,18 +171,18 @@ def _cmd_reproduce(args):
     output_dir = args.out
     if args.config:
         cfg = load_config(args.config)
-        if "experiment.seed" in cfg and args.seed == 0:
+        if "experiment.seed" in cfg and seed is None:
             seed = cfg["experiment.seed"]
         if "experiment.output_dir" in cfg and output_dir is None:
             output_dir = cfg["experiment.output_dir"]
     for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, raw = item.split("=", 1)
-        overrides[key.strip()] = _parse_override_value(raw.strip())
+        key, raw = (part.strip() for part in item.split("=", 1))
+        overrides[key] = _parse_override_value(key, raw)
     config = ExperimentConfig(
         figure_id=args.figure,
-        seed=seed,
+        seed=0 if seed is None else seed,
         overrides=overrides,
         output_dir=output_dir or os.environ.get(OUTPUT_DIR_ENV, "."),
     )
@@ -183,18 +198,30 @@ def _cmd_reproduce(args):
     return 0 if ok else 1
 
 
-def _parse_override_value(raw):
-    for conv in (int, float):
+def _parse_override_value(key, raw):
+    """A finite number or a comma-separated tuple of them; angles may carry a `deg` suffix.
+
+    Integers stay integers; anything else goes through `_parse_angle`.
+    """
+
+    def number(text):
         try:
-            return conv(raw)
+            return int(text)
         except ValueError:
-            pass
-    if "," in raw:
-        try:
-            return tuple(float(v) for v in raw.split(","))
-        except ValueError:
-            pass
-    return raw
+            value = _parse_angle(text)
+        if not math.isfinite(value):
+            raise ValueError(value)
+        return value
+
+    try:
+        if "," in raw:
+            return tuple(number(v) for v in raw.split(","))
+        return number(raw)
+    except ValueError:
+        raise ConfigError(
+            f"bad value for --set {key!r}: {raw!r} (expected a finite number, an angle with a "
+            "`deg` suffix, or a comma-separated list of them)"
+        ) from None
 
 
 def _cmd_attack_opt(args):
@@ -284,7 +311,7 @@ def build_parser():
 
     p = sub.add_parser("reproduce", help="run a figure experiment, write CSV + SVG")
     p.add_argument("figure", help="figure id, e.g. fig3 or fig3d_same")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="default: the config file's seed, else 0")
     p.add_argument("--out", default=None, help=f"output directory (default ${OUTPUT_DIR_ENV} or .)")
     p.add_argument("--config", default=None, help="key = value configuration file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a figure parameter")
@@ -334,7 +361,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, DegenerateSpectrumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

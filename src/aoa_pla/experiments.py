@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import svgfig
+from . import __version__, svgfig
 from .arrays import (
     TWO_PI,
     ArrayGeometry,
@@ -25,8 +25,6 @@ from .arrays import (
 )
 from .attack import monte_carlo_mse, mse_delta
 from .music import estimate_aoa
-
-VERSION = "0.1.0"
 
 FIGURE_IDS = ("fig2", "fig3", "fig3d_same", "fig3d_diff", "fig5", "fig6", "fig7")
 
@@ -142,7 +140,7 @@ class CheckResult:
 
 
 def _metadata(config, params):
-    meta = {"figure_id": config.figure_id, "seed": config.seed, "version": VERSION}
+    meta = {"figure_id": config.figure_id, "seed": config.seed, "version": __version__}
     meta.update(params)
     return meta
 

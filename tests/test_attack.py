@@ -333,6 +333,66 @@ def test_monte_carlo_deterministic_and_validated():
     assert stderr == 0.0
 
 
+# legitimate / attacker link SNRs (linear); math.inf is a noiseless link
+ASYMMETRIC_SNRS = [
+    pytest.param(10.0**0.5, 10.0**2.5, id="legit5dB-attacker25dB"),
+    pytest.param(10.0**2.5, 10.0**0.5, id="legit25dB-attacker5dB"),
+    pytest.param(math.inf, 10.0, id="legit-noiseless-attacker10dB"),
+    pytest.param(10.0, math.inf, id="legit10dB-attacker-noiseless"),
+]
+MISALIGNED = AttackerConfig((0.4, 0.45), (0.5, 0.5), (0.0, 0.3))
+
+
+@pytest.mark.parametrize("snr_legit, snr_attacker", ASYMMETRIC_SNRS)
+def test_monte_carlo_mean_matches_theory_at_asymmetric_snrs(snr_legit, snr_attacker):
+    geom = ArrayGeometry(16)
+    noise = NoiseModel(snr_legit, snr_attacker)
+    mean, stderr = monte_carlo_mse(geom, 0.4, MISALIGNED, noise, 20000, 3)
+    theory = mse_closed_form(geom, 0.4, MISALIGNED, noise).zeta
+    assert abs(mean - theory) <= 4.0 * stderr
+
+
+@pytest.mark.parametrize("snr_legit, snr_attacker", ASYMMETRIC_SNRS)
+def test_monte_carlo_spread_matches_model(snr_legit, snr_attacker):
+    """stderr * sqrt(trials) estimates sqrt(M s^4 + 2 s^2 ||d||^2), s^2 = floor / M.
+
+    Each trial is (s^2 / 2) times a noncentral chi-square with k = 2M degrees
+    of freedom and noncentrality lam = 2 ||d||^2 / s^2, whose excess kurtosis
+    is g2 = 12 (k + 4 lam) / (k + 2 lam)^2. The sample variance of n trials
+    then has relative variance 2 / (n - 1) + g2 / n, so the sample standard
+    deviation has relative standard deviation about half its square root; the
+    band is four of those.
+    """
+    geom = ArrayGeometry(16)
+    m = geom.num_elements
+    trials = 20000
+    noise = NoiseModel(snr_legit, snr_attacker)
+    _, stderr = monte_carlo_mse(geom, 0.4, MISALIGNED, noise, trials, 5)
+    sigma2 = noise.floor / m
+    delta = mse_closed_form(geom, 0.4, MISALIGNED, noise).delta
+    model_std = math.sqrt(m * sigma2**2 + 2.0 * sigma2 * delta)
+    k, lam = 2 * m, 2.0 * delta / sigma2
+    excess_kurtosis = 12.0 * (k + 4.0 * lam) / (k + 2.0 * lam) ** 2
+    band = 4.0 * 0.5 * math.sqrt(2.0 / (trials - 1) + excess_kurtosis / trials)
+    assert abs(stderr * math.sqrt(trials) / model_std - 1.0) <= band
+
+
+def test_monte_carlo_draws_the_noise_difference_once():
+    """One (trials, M, 2) standard-normal block, scaled to variance floor / M."""
+    geom = ArrayGeometry(6)
+    att = AttackerConfig.single(0.2, 0.7, 1.1)
+    noise = NoiseModel.from_db(3.0, 12.0)
+    trials = 500
+    rng = np.random.default_rng(11)
+    parts = rng.standard_normal((trials, geom.num_elements, 2))
+    scale = math.sqrt(noise.floor / geom.num_elements / 2.0)
+    diff0 = steering_vector(geom, 0.4) - att.precoders[0] * steering_vector(geom, 0.2)
+    vals = [float(np.sum(np.abs(diff0 + scale * (p[:, 0] + 1j * p[:, 1])) ** 2)) for p in parts]
+    mean, stderr = monte_carlo_mse(geom, 0.4, att, noise, trials, 11)
+    assert mean == pytest.approx(float(np.mean(vals)), rel=1e-12)
+    assert stderr == pytest.approx(float(np.std(vals, ddof=1)) / math.sqrt(trials), rel=1e-9)
+
+
 def test_best_case_zeta_independent_of_num_antennas():
     geom = ArrayGeometry(10)
     noise = NoiseModel.from_db(15.0)

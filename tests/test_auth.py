@@ -1,6 +1,10 @@
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aoa_pla import auth
 from aoa_pla.arrays import ArrayGeometry, AttackerConfig, NoiseModel, synthesize_attack, synthesize_legitimate
@@ -137,6 +141,60 @@ def test_acl_rejects_malformed_line(tmp_path):
     path.write_text("alice,0.4,0.0\n")
     with pytest.raises(ValueError):
         load_acl(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a,0.4,0.01,3\n\na,0.5,0.01,3\n", r":3: duplicate identity 'a'"),
+        ("a,0.4,0.01,3\na,nan,0.01,3\n", r":2: .*non-finite angle nan"),
+        ("a,0.4,inf,3\n", r":1: .*non-finite .* spread inf"),
+        ("a,0.4,0.01,three\n", r":1: invalid literal"),
+        ("a,north,0.01,3\n", r":1: could not convert"),
+    ],
+)
+def test_acl_load_rejects_bad_entries_with_line(tmp_path, text, message):
+    path = tmp_path / "acl.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_acl(path)
+
+
+@pytest.mark.parametrize(
+    "profiles, message",
+    [
+        ([AoaProfile("a,b", 0.4, 0.0, 1)], "comma"),
+        ([AoaProfile("a\nb", 0.4, 0.0, 1)], "line break"),
+        ([AoaProfile("a\u2028", 0.4, 0.0, 1)], "line break"),
+        ([AoaProfile(" a", 0.4, 0.0, 1)], "whitespace"),
+        ([AoaProfile("a", 0.4, 0.0, 1), AoaProfile("a", 0.5, 0.0, 1)], "duplicate identity 'a'"),
+        ([AoaProfile("a", math.nan, 0.0, 1)], "non-finite angle nan"),
+    ],
+)
+def test_acl_save_rejects_entries_load_cannot_read_back(tmp_path, profiles, message):
+    path = tmp_path / "acl.txt"
+    with pytest.raises(ValueError, match=message):
+        save_acl(path, profiles)
+    assert not path.exists()
+
+
+_identities = st.text(max_size=6)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_identities, _finite, _finite, st.integers(0, 10**6)), max_size=4))
+def test_acl_save_load_roundtrip_or_refuse(entries):
+    """save_acl either refuses, writing nothing, or load_acl reads back exactly what was saved."""
+    profiles = [AoaProfile(*entry) for entry in entries]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "acl.txt"
+        try:
+            save_acl(path, profiles)
+        except ValueError:
+            assert not path.exists()
+            return
+        assert list(load_acl(path).values()) == profiles
 
 
 def test_acl_empty_roundtrip(tmp_path):

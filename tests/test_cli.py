@@ -12,6 +12,7 @@ from aoa_pla.cli import (
     read_signal_block,
     write_signal_block,
     _parse_angle,
+    _parse_override_value,
 )
 
 
@@ -88,6 +89,72 @@ def test_signal_block_malformed(tmp_path):
     path.write_text("")
     with pytest.raises(ValueError, match="empty"):
         read_signal_block(path)
+
+
+def test_signal_block_rejects_non_finite_sample_with_line(tmp_path):
+    path = tmp_path / "block.txt"
+    # the blank line still counts, so the bad snapshot is on line 4
+    path.write_text("2 3\n1+0j,1+0j\n\nnan+0j,1+0j\n1+0j,1+0j\n")
+    with pytest.raises(ValueError, match=rf"{path}:4: non-finite sample"):
+        read_signal_block(path)
+    path.write_text("2 2\n1+0j,1+0j\n1+0j,1+infj\n")
+    with pytest.raises(ValueError, match=rf"{path}:3: non-finite sample"):
+        read_signal_block(path)
+    path.write_text("2 1\n1+0j,one\n")
+    with pytest.raises(ValueError, match=rf"{path}:2: malformed complex literal"):
+        read_signal_block(path)
+
+
+def test_cli_music_bad_blocks_exit_2(tmp_path, capsys):
+    nan_block = tmp_path / "nan.txt"
+    nan_block.write_text("2 2\n1+0j,nan+0j\n1+0j,1+0j\n")
+    assert main(["music", "--input", str(nan_block)]) == 2
+    assert f"{nan_block}:2: non-finite sample" in capsys.readouterr().err
+    # finite, but its pseudospectrum is flat: no peak, DegenerateSpectrumError
+    zero_block = tmp_path / "zero.txt"
+    zero_block.write_text("2 3\n0j,0j\n0j,0j\n0j,0j\n")
+    assert main(["music", "--input", str(zero_block)]) == 2
+    assert "local maxima" in capsys.readouterr().err
+
+
+def test_parse_override_value():
+    assert _parse_override_value("trials", "3000") == 3000
+    assert isinstance(_parse_override_value("trials", "3000"), int)
+    assert _parse_override_value("theta", "0.25") == 0.25
+    assert _parse_override_value("theta", "20deg") == pytest.approx(math.radians(20.0))
+    assert _parse_override_value("theta", "-45 deg") == pytest.approx(-math.pi / 4)
+    thetas = _parse_override_value("thetas", "10deg, 0.4")
+    assert thetas[0] == pytest.approx(math.radians(10.0)) and thetas[1] == 0.4
+    assert _parse_override_value("num_attacker_antennas", "1,2,4") == (1, 2, 4)
+    for raw in ("twenty", "20 degrees", "nan", "inf", "1,x", "5deg,"):
+        with pytest.raises(ConfigError, match="'theta'"):
+            _parse_override_value("theta", raw)
+
+
+def test_cli_reproduce_set_angle_in_degrees(tmp_path, capsys):
+    rc = main(["reproduce", "fig5", "--out", str(tmp_path), "--set", "theta=20deg"])
+    capsys.readouterr()
+    assert rc == 0
+    header = (tmp_path / "fig5__0.csv").read_text().splitlines()
+    assert f"# theta = {math.radians(20.0)!r}" in header
+
+
+def test_cli_reproduce_set_non_numeric_exits_2(tmp_path, capsys):
+    for item in ("theta=twenty", "snr_eve_db=5,x", "theta=nan"):
+        rc = main(["reproduce", "fig5", "--out", str(tmp_path), "--set", item])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert repr(item.split("=")[0]) in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_reproduce_explicit_seed_zero_overrides_config(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[experiment]\nseed = 9\noutput_dir = {tmp_path}\n")
+    assert main(["reproduce", "fig5", "--config", str(cfg), "--seed", "0"]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "fig5__0.csv").exists()
+    assert not (tmp_path / "fig5__9.csv").exists()
 
 
 def test_cli_attack_opt(capsys):

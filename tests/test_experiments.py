@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import aoa_pla
+from aoa_pla import experiments
 from aoa_pla.arrays import ArrayGeometry, AttackerConfig, NoiseModel
 from aoa_pla.attack import mse_closed_form
 from aoa_pla.experiments import (
@@ -75,6 +77,16 @@ def test_csv_format(tmp_path):
     # float cells parse back exactly (repr round-trip)
     first = lines[header_idx + 1].split(",")
     assert float(first[2]) == table.rows[0][2]
+
+
+def test_version_has_one_definition():
+    tomllib = pytest.importorskip("tomllib")
+    assert not hasattr(experiments, "VERSION")
+    assert run_figure(ExperimentConfig("fig5")).metadata["version"] == aoa_pla.__version__ == "0.1.0"
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    assert "version" not in pyproject["project"]
+    assert pyproject["project"]["dynamic"] == ["version"]
+    assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "aoa_pla.__version__"}
 
 
 def test_reproduce_outputs_and_naming(tmp_path):
