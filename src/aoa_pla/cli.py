@@ -24,17 +24,9 @@ from .music import DEFAULT_GRID_STEP, DegenerateSpectrumError, estimate_aoa, pse
 
 OUTPUT_DIR_ENV = "AOA_PLA_OUT"
 
-# closed schema for config files; unknown keys are rejected by name
+# closed schema for config files; `reproduce` reads these keys and rejects
+# any other by name, so no key is accepted and then ignored
 CONFIG_SCHEMA = {
-    "array.num_elements": int,
-    "array.spacing": float,
-    "noise.snr_alice_db": float,
-    "noise.snr_eve_db": float,
-    "source.theta": "angle",
-    "attacker.angles": "angle_list",
-    "attacker.betas": "float_list",
-    "attacker.phis": "angle_list",
-    "experiment.figure": str,
     "experiment.seed": int,
     "experiment.output_dir": str,
 }
@@ -53,23 +45,10 @@ def _parse_angle(text):
 
 
 def _convert(key, raw):
-    kind = CONFIG_SCHEMA[key]
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind is str:
-            return raw.strip()
-        if kind == "angle":
-            return _parse_angle(raw)
-        if kind == "angle_list":
-            return tuple(_parse_angle(v) for v in raw.split(","))
-        if kind == "float_list":
-            return tuple(float(v) for v in raw.split(","))
+        return CONFIG_SCHEMA[key](raw.strip())
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
-    raise AssertionError(kind)
 
 
 def load_config(path):
@@ -199,9 +178,12 @@ def _cmd_reproduce(args):
 
 
 def _parse_override_value(key, raw):
-    """A finite number or a comma-separated tuple of them; angles may carry a `deg` suffix.
+    """A finite number, a comma-separated tuple of them, or `;`-separated tuples.
 
-    Integers stay integers; anything else goes through `_parse_angle`.
+    Integers stay integers; anything else goes through `_parse_angle`, so
+    angles may carry a `deg` suffix. A trailing separator closes a
+    one-element tuple: `5,` is `(5,)` and `0.5,0.5;` is `((0.5, 0.5),)`.
+    `0.5,0.5;0.3,0.3` is the tuple of pairs `((0.5, 0.5), (0.3, 0.3))`.
     """
 
     def number(text):
@@ -213,14 +195,22 @@ def _parse_override_value(key, raw):
             raise ValueError(value)
         return value
 
+    def items(text, sep):
+        parts = text.split(sep)
+        if len(parts) > 1 and not parts[-1].strip():
+            parts.pop()
+        return parts
+
     try:
+        if ";" in raw:
+            return tuple(tuple(number(v) for v in items(group, ",")) for group in items(raw, ";"))
         if "," in raw:
-            return tuple(number(v) for v in raw.split(","))
+            return tuple(number(v) for v in items(raw, ","))
         return number(raw)
     except ValueError:
         raise ConfigError(
             f"bad value for --set {key!r}: {raw!r} (expected a finite number, an angle with a "
-            "`deg` suffix, or a comma-separated list of them)"
+            "`deg` suffix, a comma-separated tuple of them, or `;`-separated tuples)"
         ) from None
 
 

@@ -88,12 +88,19 @@ _DEFAULTS = {
 
 
 def _shape(value):
-    """Nesting of a figure parameter: 'a scalar', 'a flat tuple' or 'a tuple of pairs'."""
+    """Nesting of a figure parameter: 'a scalar', 'a flat tuple' or 'a tuple of pairs'.
+
+    Any other nesting is 'a nested tuple', which no default has, so an
+    override of that shape is always rejected.
+    """
     if not isinstance(value, (tuple, list)):
         return "a scalar"
-    if value and all(isinstance(v, (tuple, list)) and len(v) == 2 for v in value):
+    shapes = {_shape(v) for v in value}
+    if shapes <= {"a scalar"}:
+        return "a flat tuple"
+    if shapes == {"a flat tuple"} and all(len(v) == 2 for v in value):
         return "a tuple of pairs"
-    return "a flat tuple"
+    return "a nested tuple"
 
 
 @dataclass(frozen=True)

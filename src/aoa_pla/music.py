@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -70,6 +71,22 @@ def _angle_grid(step):
     return step * np.arange(-kmax, kmax + 1)
 
 
+@functools.lru_cache(maxsize=8)
+def _manifold(geom, grid_step):
+    """Angle grid and the M x grid steering manifold, built once per (geometry, step).
+
+    `ArrayGeometry` hashes and compares by (num_elements, spacing), so the
+    key is (M, spacing, grid_step). Both arrays are shared by every later
+    call with the same key, so they are returned read-only.
+    """
+    grid = _angle_grid(grid_step)
+    m = np.arange(geom.num_elements)
+    manifold = np.exp(-1j * geom.wavenumber_scale * np.outer(m, np.sin(grid)))
+    grid.setflags(write=False)
+    manifold.setflags(write=False)
+    return grid, manifold
+
+
 def _find_peaks(grid, values):
     v = values
     mask = np.zeros(v.shape, dtype=bool)
@@ -88,7 +105,8 @@ def pseudospectrum(mat, geom, grid_step=DEFAULT_GRID_STEP, num_sources=1):
     """MUSIC pseudospectrum 1 / ||E_n^H a(theta)||^2 over the angle grid.
 
     E_n spans the M - num_sources eigenvectors with the smallest
-    eigenvalues of the covariance `mat`.
+    eigenvalues of the covariance `mat`. The returned `grid` is the cached,
+    read-only grid of `_manifold`.
     """
     if num_sources >= geom.num_elements:
         raise ValueError(
@@ -98,9 +116,7 @@ def pseudospectrum(mat, geom, grid_step=DEFAULT_GRID_STEP, num_sources=1):
         raise ValueError("num_sources must be >= 1")
     _, vecs = hermitian_eig(mat)
     noise_basis = vecs[:, : geom.num_elements - num_sources]
-    grid = _angle_grid(grid_step)
-    m = np.arange(geom.num_elements)
-    manifold = np.exp(-1j * geom.wavenumber_scale * np.outer(m, np.sin(grid)))
+    grid, manifold = _manifold(geom, grid_step)
     proj = noise_basis.conj().T @ manifold
     denom = np.sum(np.abs(proj) ** 2, axis=0)
     # keep heights finite when the noise subspace is exactly orthogonal

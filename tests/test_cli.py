@@ -26,25 +26,11 @@ def test_load_config(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "# comment\n"
-        "[array]\n"
-        "num_elements = 16\n"
-        "spacing = 0.5\n"
-        "[source]\n"
-        "theta = 30 deg\n"
-        "[attacker]\n"
-        "angles = 0.1, 45 deg\n"
-        "betas = 0.5,0.5\n"
         "[experiment]\n"
-        "figure = fig5\n"
-        "seed = 3\n"
+        "seed = 3  # trailing comment\n"
+        "output_dir =  results/run 1 \n"
     )
-    values = load_config(cfg)
-    assert values["array.num_elements"] == 16
-    assert values["source.theta"] == pytest.approx(math.pi / 6)
-    assert values["attacker.angles"][1] == pytest.approx(math.pi / 4)
-    assert values["attacker.betas"] == (0.5, 0.5)
-    assert values["experiment.figure"] == "fig5"
-    assert values["experiment.seed"] == 3
+    assert load_config(cfg) == {"experiment.seed": 3, "experiment.output_dir": "results/run 1"}
 
 
 def test_load_config_rejects_unknown_key(tmp_path):
@@ -56,8 +42,8 @@ def test_load_config_rejects_unknown_key(tmp_path):
 
 def test_load_config_rejects_bad_value(tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("[array]\nnum_elements = lots\n")
-    with pytest.raises(ConfigError, match="num_elements"):
+    cfg.write_text("[experiment]\nseed = lots\n")
+    with pytest.raises(ConfigError, match="experiment.seed"):
         load_config(cfg)
 
 
@@ -126,7 +112,13 @@ def test_parse_override_value():
     thetas = _parse_override_value("thetas", "10deg, 0.4")
     assert thetas[0] == pytest.approx(math.radians(10.0)) and thetas[1] == 0.4
     assert _parse_override_value("num_attacker_antennas", "1,2,4") == (1, 2, 4)
-    for raw in ("twenty", "20 degrees", "nan", "inf", "1,x", "5deg,"):
+    assert _parse_override_value("snr_db", "5,") == (5,)
+    assert _parse_override_value("theta", "5deg,") == (pytest.approx(math.radians(5.0)),)
+    pairs = ((0.5, 0.5), (0.3, 0.3))
+    assert _parse_override_value("beta_pairs", "0.5,0.5;0.3,0.3") == pairs
+    assert _parse_override_value("beta_pairs", " 0.5, 0.5 ; 0.3,0.3; ") == pairs
+    assert _parse_override_value("beta_pairs", "0.5,0.5;") == ((0.5, 0.5),)
+    for raw in ("twenty", "20 degrees", "nan", "inf", "1,x", "5,,", ",", "1;;2", "0.5,x;1,1"):
         with pytest.raises(ConfigError, match="'theta'"):
             _parse_override_value("theta", raw)
 
@@ -311,7 +303,7 @@ def test_cli_reproduce_with_overrides_and_bad_key(tmp_path, capsys):
 
 def test_cli_reproduce_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"[experiment]\nfigure = fig5\nseed = 9\noutput_dir = {tmp_path}\n")
+    cfg.write_text(f"[experiment]\nseed = 9\noutput_dir = {tmp_path}\n")
     rc = main(["reproduce", "fig5", "--config", str(cfg)])
     capsys.readouterr()
     assert rc == 0
@@ -323,8 +315,39 @@ def test_cli_reproduce_rejects_override_of_wrong_shape(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "beta_pairs" in err and "tuple of pairs" in err
-    rc = main(["reproduce", "fig2", "--out", str(tmp_path), "--set", "snr_db=5"])
+    for item in ("snr_db=5", "snr_db=5;10", "theta=0.4,"):
+        rc = main(["reproduce", "fig2", "--out", str(tmp_path), "--set", item])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert repr(item.split("=")[0]) in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_reproduce_set_one_element_tuple_and_tuple_of_pairs(tmp_path, capsys):
+    rc = main(
+        ["reproduce", "fig2", "--out", str(tmp_path), "--set", "snr_db=5,", "--set", "num_rx_antennas=16,",
+         "--set", "trials=2", "--set", "num_snapshots=50"]
+    )
+    assert rc == 0
+    lines = (tmp_path / "fig2__0.csv").read_text().splitlines()
+    assert "# snr_db = (5,)" in lines
+    assert lines[-1].startswith("5.0,16,")
+    rc = main(
+        ["reproduce", "fig3", "--out", str(tmp_path), "--set", "beta_pairs=0.5,0.5;0.3,0.3",
+         "--set", "phi_points=3", "--set", "trials=2000"]
+    )
+    capsys.readouterr()
+    assert rc == 0
+    lines = (tmp_path / "fig3__0.csv").read_text().splitlines()
+    assert "# beta_pairs = ((0.5, 0.5), (0.3, 0.3))" in lines
+    assert [row.split(",")[1:3] for row in lines[-6::3]] == [["0.5", "0.5"], ["0.3", "0.3"]]
+
+
+def test_cli_reproduce_config_key_it_does_not_read_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[experiment]\nseed = 1\n[array]\nnum_elements = 4\n")
+    rc = main(["reproduce", "fig5", "--out", str(tmp_path), "--config", str(cfg)])
     err = capsys.readouterr().err
     assert rc == 2
-    assert "snr_db" in err
-    assert not list(tmp_path.iterdir())
+    assert f"{cfg}:4: unknown configuration key 'array.num_elements'" in err
+    assert not list(tmp_path.glob("fig5__*"))
