@@ -1,15 +1,19 @@
 """Deterministic scenario runs reproducing the headline simulation figures.
 
-Each runner sweeps its scenario, returns a ResultTable (columns + rows +
-complete metadata), and has an associated set of automated checks on the
-numbers it produced. CSV output is byte-reproducible for a fixed seed.
+Each figure is one `FIGURES` entry: its default parameters, the runner that
+sweeps its scenario into a ResultTable (columns + rows + complete
+metadata), the automated checks on the numbers it produced, and its plot
+layout. CSV output is byte-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,67 +28,7 @@ from .arrays import (
     synthesize_legitimate,
 )
 from .attack import monte_carlo_mse, mse_delta
-from .music import estimate_aoa
-
-FIGURE_IDS = ("fig2", "fig3", "fig3d_same", "fig3d_diff", "fig5", "fig6", "fig7")
-
-_DEFAULTS = {
-    "fig2": dict(
-        theta=0.4,
-        theta_hat=0.2,
-        num_snapshots=2000,
-        trials=200,
-        snr_db=(-10.0, -5.0, 0.0, 5.0, 10.0, 15.0),
-        num_rx_antennas=(2, 8, 16),
-        grid_step=0.001,
-    ),
-    "fig3": dict(
-        theta=0.4,
-        num_rx_antennas=16,
-        snr_db=15.0,
-        phi_points=126,
-        beta_pairs=((0.5, 0.5), (0.3, 0.3)),
-        trials=10000,
-    ),
-    "fig3d_same": dict(
-        theta=0.4,
-        theta_hats=(0.4, 0.4),
-        num_rx_antennas=16,
-        snr_db=15.0,
-        phi_points=126,
-        betas=(0.5, 0.5),
-    ),
-    "fig3d_diff": dict(
-        theta=0.4,
-        theta_hats=(0.39, 0.41),
-        num_rx_antennas=16,
-        snr_db=15.0,
-        phi_points=126,
-        betas=(0.5, 0.5),
-    ),
-    "fig5": dict(
-        theta=0.4,
-        num_rx_antennas=16,
-        snr_alice_db=15.0,
-        snr_eve_db=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
-        num_attacker_antennas=(1, 2, 4, 12),
-    ),
-    "fig6": dict(
-        thetas=(0.2, 0.4),
-        num_rx_antennas=20,
-        num_attacker_antennas=12,
-        snr_db=30.0,
-        grid_step=0.001,
-    ),
-    "fig7": dict(
-        theta=0.4,
-        num_rx_antennas=10,
-        snr_db=15.0,
-        num_attacker_antennas=tuple(range(1, 33)),
-        angle_gap=0.2,
-        trials=10000,
-    ),
-}
+from .music import _angle_grid, estimate_aoa
 
 
 def _shape(value):
@@ -103,6 +47,10 @@ def _shape(value):
     return "a nested tuple"
 
 
+def _entries(value):
+    return value if isinstance(value, (tuple, list)) else (value,)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     figure_id: str
@@ -111,9 +59,9 @@ class ExperimentConfig:
     output_dir: str = "."
 
     def __post_init__(self):
-        if self.figure_id not in FIGURE_IDS:
+        if self.figure_id not in FIGURES:
             raise ValueError(f"unknown figure_id {self.figure_id!r}; expected one of {FIGURE_IDS}")
-        known = _DEFAULTS[self.figure_id]
+        known = FIGURES[self.figure_id].defaults
         for key, value in self.overrides.items():
             if key not in known:
                 raise ValueError(
@@ -125,9 +73,15 @@ class ExperimentConfig:
                     f"override {key!r} for {self.figure_id} must be {_shape(known[key])}, "
                     f"got {_shape(value)} {value!r}"
                 )
+            # a parameter whose default is an int, or a tuple of ints, is a count
+            is_count = all(isinstance(v, int) for v in _entries(known[key]))
+            if is_count and not all(isinstance(v, numbers.Integral) and v >= 1 for v in _entries(value)):
+                raise ValueError(
+                    f"override {key!r} for {self.figure_id} takes integers >= 1, got {value!r}"
+                )
 
     def params(self):
-        resolved = dict(_DEFAULTS[self.figure_id])
+        resolved = dict(FIGURES[self.figure_id].defaults)
         resolved.update(self.overrides)
         return resolved
 
@@ -176,7 +130,23 @@ def _column(table, name):
         idx = table.columns.index(name)
     except ValueError:
         raise KeyError(f"unknown column {name!r}; table has {table.columns}") from None
-    return [row[idx] for row in table.rows]
+    return np.array([row[idx] for row in table.rows])
+
+
+def _grid(xs, ys, zs):
+    """(x axis, y axis, z) of rows covering a rectangular (x, y) grid; z[iy, ix].
+
+    Both axes come out sorted. A repeated (x, y) pair keeps its last z.
+    """
+    x_axis, ix = np.unique(xs, return_inverse=True)
+    y_axis, iy = np.unique(ys, return_inverse=True)
+    z = np.empty((len(y_axis), len(x_axis)))
+    z[iy, ix] = zs
+    filled = np.zeros(z.shape, dtype=bool)
+    filled[iy, ix] = True
+    if not filled.all():
+        raise ValueError("the (x, y) pairs do not cover a rectangular grid")
+    return x_axis, y_axis, z
 
 
 def _best_case_attacker(theta_hat, num_antennas):
@@ -260,24 +230,24 @@ def _check_fig2(table):
     me = _column(table, "mean_est_eve_rad")
     frac = _column(table, "frac_trials_est_within_0.1rad")
     results = []
-    hi = [i for i in range(len(snr)) if snr[i] == 15.0 and m[i] == 16]
-    if hi:
+    hi = np.flatnonzero((snr == 15.0) & (m == 16))
+    if hi.size:
         i = hi[0]
         ok = abs(ma[i] - p["theta"]) <= 0.01 and abs(me[i] - p["theta_hat"]) <= 0.01
         results.append(
             CheckResult(
                 "high_snr_estimates_accurate",
-                ok,
+                bool(ok),
                 f"alice={ma[i]:.5f} eve={me[i]:.5f} at 15 dB, M=16",
             )
         )
-    lo = [i for i in range(len(snr)) if snr[i] == -10.0 and m[i] == 2]
-    if lo:
+    lo = np.flatnonzero((snr == -10.0) & (m == 2))
+    if lo.size:
         i = lo[0]
         results.append(
             CheckResult(
                 "low_snr_estimates_similar",
-                frac[i] > 0.5,
+                bool(frac[i] > 0.5),
                 f"fraction of trials with |est_alice - est_eve| < 0.1: {frac[i]:.3f} at -10 dB, M=2",
             )
         )
@@ -307,11 +277,11 @@ def run_fig3(config):
 
 def _check_fig3(table):
     p = table.metadata
-    phi = np.array(_column(table, "phi0_rad"))
-    b0 = np.array(_column(table, "beta0"))
-    b1 = np.array(_column(table, "beta1"))
-    theory = np.array(_column(table, "zeta_theory"))
-    sim = np.array(_column(table, "zeta_sim"))
+    phi = _column(table, "phi0_rad")
+    b0 = _column(table, "beta0")
+    b1 = _column(table, "beta1")
+    theory = _column(table, "zeta_theory")
+    sim = _column(table, "zeta_sim")
     floor = NoiseModel.from_db(p["snr_db"]).floor
     results = []
     unit = np.abs(b0 + b1 - 1.0) <= 1e-12
@@ -357,8 +327,9 @@ def _check_fig3d(table):
     phi0 = _column(table, "phi0_rad")
     phi1 = _column(table, "phi1_rad")
     zeta = _column(table, "zeta")
-    lookup = {(a, b): z for a, b, z in zip(phi0, phi1, zeta)}
-    swap_defect = max(abs(z - lookup[(b, a)]) for (a, b), z in lookup.items())
+    # phi0 and phi1 share one axis, so swapping the phases transposes the grid
+    _, _, surface = _grid(phi0, phi1, zeta)
+    swap_defect = float(np.max(np.abs(surface - surface.T)))
     results = []
     if p["figure_id"] == "fig3d_same":
         results.append(
@@ -368,8 +339,9 @@ def _check_fig3d(table):
         results.append(
             CheckResult("swap_asymmetry", swap_defect > 1e-6, f"max |zeta(a,b)-zeta(b,a)| = {swap_defect:.3e}")
         )
+    # the first minimum in row order: the four corner phases tie on the grid
     imin = int(np.argmin(zeta))
-    d0, d1 = _circular_dist(phi0[imin]), _circular_dist(phi1[imin])
+    d0, d1 = _circular_dist(float(phi0[imin])), _circular_dist(float(phi1[imin]))
     results.append(
         CheckResult(
             "minimum_near_zero_phases",
@@ -401,25 +373,22 @@ def _check_fig5(table):
     num = _column(table, "num_attacker_antennas")
     zeta = _column(table, "zeta")
     results = []
-    by_l = {}
-    for s, l, z in zip(snr, num, zeta):
-        by_l.setdefault(l, []).append((s, z))
-    decreasing = all(
-        all(z2 < z1 for (_, z1), (_, z2) in zip(curve, curve[1:]))
-        for curve in (sorted(vals) for vals in by_l.values())
-    )
+    # each curve (one antenna count) as a run of rows in SNR order, ties by zeta
+    order = np.lexsort((zeta, snr, num))
+    curve, z = num[order], zeta[order]
+    same_curve = curve[1:] == curve[:-1]
+    decreasing = bool(np.all(z[1:][same_curve] < z[:-1][same_curve]))
     results.append(CheckResult("zeta_decreasing_in_snr_eve", decreasing))
-    spread = max(
-        max(zs) - min(zs)
-        for zs in (
-            [z for s2, l2, z in zip(snr, num, zeta) if s2 == s] for s in sorted(set(snr))
-        )
-    )
+    order = np.argsort(snr, kind="stable")
+    s, z = snr[order], zeta[order]
+    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    spread = float(np.max(np.maximum.reduceat(z, starts) - np.minimum.reduceat(z, starts)))
     results.append(CheckResult("curves_coincide_across_L", spread <= 1e-12, f"max spread {spread:.3e}"))
-    ref = [z for s, z in zip(snr, zeta) if s == p["snr_alice_db"]]
-    expected = 2.0 * 10.0 ** (-p["snr_alice_db"] / 10.0)
-    ok = bool(ref) and all(abs(z - expected) <= 1e-9 for z in ref)
-    results.append(CheckResult("equal_snr_point_noise_floor", ok, f"expected {expected!r}"))
+    ref = zeta[snr == p["snr_alice_db"]]
+    if ref.size:
+        expected = 2.0 * 10.0 ** (-p["snr_alice_db"] / 10.0)
+        ok = bool(np.all(np.abs(ref - expected) <= 1e-9))
+        results.append(CheckResult("equal_snr_point_noise_floor", ok, f"expected {expected!r}"))
     return results
 
 
@@ -428,9 +397,7 @@ def run_fig6(config):
     p = config.params()
     geom = ArrayGeometry(p["num_rx_antennas"])
     noise = NoiseModel.from_db(p["snr_db"])
-    step = p["grid_step"]
-    kmax = int(math.floor(math.pi / step))
-    grid = step * np.arange(-kmax, kmax + 1)
+    grid = _angle_grid(p["grid_step"], math.pi)
     columns = ["theta_hat_e_rad"] + [f"zeta_theta_{theta}" for theta in p["thetas"]]
     zeta = _best_case_delta(geom, p["thetas"], grid[:, None], p["num_attacker_antennas"]) + noise.floor
     rows = [(float(th_e),) + tuple(float(z) for z in zs) for th_e, zs in zip(grid, zeta)]
@@ -443,8 +410,7 @@ def _best_case_delta(geom, theta, theta_hat, num_antennas):
     return mse_delta(geom, theta, angles, np.full(num_antennas, 1.0 / num_antennas))
 
 
-def _local_minima(values):
-    v = np.asarray(values)
+def _local_minima(v):
     mask = np.zeros(v.shape, dtype=bool)
     mask[0] = v[0] < v[1]
     mask[-1] = v[-1] < v[-2]
@@ -454,9 +420,9 @@ def _local_minima(values):
 
 def _check_fig6(table):
     p = table.metadata
-    grid = np.array(_column(table, "theta_hat_e_rad"))
+    grid = _column(table, "theta_hat_e_rad")
     theta = p["thetas"][0]
-    zeta = np.array(_column(table, f"zeta_theta_{theta}"))
+    zeta = _column(table, f"zeta_theta_{theta}")
     floor = 2.0 * 10.0 ** (-p["snr_db"] / 10.0)
     results = []
     minima = _local_minima(zeta)
@@ -521,115 +487,145 @@ def _check_fig7(table):
     aligned = _column(table, "zeta_aligned_theory")
     misaligned = _column(table, "zeta_misaligned_theory")
     results = []
-    spread = max(aligned) - min(aligned)
+    spread = float(np.max(aligned) - np.min(aligned))
     results.append(CheckResult("aligned_constant_in_L", spread <= 1e-12, f"spread {spread:.3e}"))
-    results.append(
-        CheckResult(
-            "misaligned_strictly_larger",
-            all(m > a for a, m in zip(aligned, misaligned)),
-        )
-    )
+    results.append(CheckResult("misaligned_strictly_larger", bool(np.all(misaligned > aligned))))
     worst = 0.0
     for prefix in ("aligned", "misaligned"):
-        theory = _column(table, f"zeta_{prefix}_theory")
-        sim = _column(table, f"zeta_{prefix}_sim")
-        stderr = _column(table, f"zeta_{prefix}_stderr")
-        for th, sm, se in zip(theory, sim, stderr):
-            worst = max(worst, abs(sm - th) / se if se > 0 else 0.0)
+        theory, sim, stderr = (_column(table, f"zeta_{prefix}_{s}") for s in ("theory", "sim", "stderr"))
+        # a point without a standard error counts as no deviation
+        sigmas = np.divide(np.abs(sim - theory), stderr, out=np.zeros_like(stderr), where=stderr > 0)
+        worst = max(worst, float(np.max(sigmas, initial=0.0)))
     results.append(CheckResult("sim_within_3_sigma", worst <= 3.0, f"worst deviation {worst:.2f} sigma"))
     return results
 
 
-_RUNNERS = {
-    "fig2": run_fig2,
-    "fig3": run_fig3,
-    "fig3d_same": run_fig3d,
-    "fig3d_diff": run_fig3d,
-    "fig5": run_fig5,
-    "fig6": run_fig6,
-    "fig7": run_fig7,
-}
+# --------------------------------------------------------------------------
+# the figure registry
 
-_CHECKERS = {
-    "fig2": _check_fig2,
-    "fig3": _check_fig3,
-    "fig3d_same": _check_fig3d,
-    "fig3d_diff": _check_fig3d,
-    "fig5": _check_fig5,
-    "fig6": _check_fig6,
-    "fig7": _check_fig7,
-}
 
-# default plot layout per figure: (kind, x, y columns, optional group column)
-_PLOT_SPECS = {
-    "fig2": ("line", "snr_db", ["mean_est_alice_rad", "mean_est_eve_rad"], "num_rx_antennas"),
-    "fig3": ("line", "phi0_rad", ["zeta_theory", "zeta_sim"], "beta0"),
-    "fig3d_same": ("surface", "phi0_rad", ["phi1_rad", "zeta"], None),
-    "fig3d_diff": ("surface", "phi0_rad", ["phi1_rad", "zeta"], None),
-    "fig5": ("line", "snr_eve_db", ["zeta"], "num_attacker_antennas"),
-    "fig6": ("line", "theta_hat_e_rad", None, None),
-    "fig7": (
-        "line",
-        "num_attacker_antennas",
-        ["zeta_aligned_theory", "zeta_aligned_sim", "zeta_misaligned_theory", "zeta_misaligned_sim"],
-        None,
+class FigureSpec(NamedTuple):
+    """One figure: its default parameters, runner, checks and plot layout.
+
+    `plot` is `emit_plot`'s (kind, x_column, y_columns, group_by).
+    """
+
+    defaults: dict
+    run: Callable
+    check: Callable
+    plot: tuple
+
+
+def _fig3d_spec(theta_hats):
+    return FigureSpec(
+        defaults=dict(
+            theta=0.4, theta_hats=theta_hats, num_rx_antennas=16, snr_db=15.0, phi_points=126, betas=(0.5, 0.5)
+        ),
+        run=run_fig3d,
+        check=_check_fig3d,
+        plot=("surface", "phi0_rad", ["phi1_rad", "zeta"], None),
+    )
+
+
+FIGURES = {
+    "fig2": FigureSpec(
+        defaults=dict(
+            theta=0.4, theta_hat=0.2, num_snapshots=2000, trials=200, grid_step=0.001,
+            snr_db=(-10.0, -5.0, 0.0, 5.0, 10.0, 15.0), num_rx_antennas=(2, 8, 16),
+        ),
+        run=run_fig2,
+        check=_check_fig2,
+        plot=("line", "snr_db", ["mean_est_alice_rad", "mean_est_eve_rad"], "num_rx_antennas"),
+    ),
+    "fig3": FigureSpec(
+        defaults=dict(
+            theta=0.4, num_rx_antennas=16, snr_db=15.0, phi_points=126, trials=10000,
+            beta_pairs=((0.5, 0.5), (0.3, 0.3)),
+        ),
+        run=run_fig3,
+        check=_check_fig3,
+        plot=("line", "phi0_rad", ["zeta_theory", "zeta_sim"], "beta0"),
+    ),
+    "fig3d_same": _fig3d_spec(theta_hats=(0.4, 0.4)),
+    "fig3d_diff": _fig3d_spec(theta_hats=(0.39, 0.41)),
+    "fig5": FigureSpec(
+        defaults=dict(
+            theta=0.4, num_rx_antennas=16, snr_alice_db=15.0,
+            snr_eve_db=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0), num_attacker_antennas=(1, 2, 4, 12),
+        ),
+        run=run_fig5,
+        check=_check_fig5,
+        plot=("line", "snr_eve_db", ["zeta"], "num_attacker_antennas"),
+    ),
+    "fig6": FigureSpec(
+        defaults=dict(thetas=(0.2, 0.4), num_rx_antennas=20, num_attacker_antennas=12, snr_db=30.0, grid_step=0.001),
+        run=run_fig6,
+        check=_check_fig6,
+        # the y columns are named after `thetas`, so the plot takes every column after x
+        plot=("line", "theta_hat_e_rad", None, None),
+    ),
+    "fig7": FigureSpec(
+        defaults=dict(
+            theta=0.4, num_rx_antennas=10, snr_db=15.0, angle_gap=0.2, trials=10000,
+            num_attacker_antennas=tuple(range(1, 33)),
+        ),
+        run=run_fig7,
+        check=_check_fig7,
+        plot=(
+            "line",
+            "num_attacker_antennas",
+            ["zeta_aligned_theory", "zeta_aligned_sim", "zeta_misaligned_theory", "zeta_misaligned_sim"],
+            None,
+        ),
     ),
 }
 
+FIGURE_IDS = tuple(FIGURES)
+
 
 def run_figure(config):
-    return _RUNNERS[config.figure_id](config)
+    return FIGURES[config.figure_id].run(config)
 
 
 def evaluate_checks(figure_id, table):
     """Automated assertions tied to each figure's headline claims."""
-    return _CHECKERS[figure_id](table)
+    return FIGURES[figure_id].check(table)
 
 
-def emit_plot(table, kind, path, x_column=None, y_columns=None, group_by=None):
+def emit_plot(table, kind, path, x_column, y_columns=None, group_by=None):
     """Write a self-contained SVG chart of the table.
 
     For kind "line", every y column becomes one series (split further by
-    the optional group_by column). For kind "surface", y_columns must be
-    [y_axis_column, z_column] over a rectangular (x, y) grid.
+    the optional group_by column); y_columns None means every column after
+    x_column. For kind "surface", y_columns must be [y_axis_column,
+    z_column] over a rectangular (x, y) grid.
     """
     if kind not in ("line", "surface"):
         raise ValueError(f"unknown plot kind {kind!r}")
-    x_column = x_column or table.columns[0]
-    if y_columns is None:
-        y_columns = [
-            c
-            for c in table.columns[1:]
-            if c != x_column and isinstance(table.rows[0][table.columns.index(c)], (int, float))
-        ]
     xs = _column(table, x_column)
+    if y_columns is None:
+        y_columns = table.columns[table.columns.index(x_column) + 1 :]
     if kind == "line":
-        series = {}
+        ys = {col: _column(table, col) for col in y_columns}
         if group_by is None:
-            groups = {None: list(range(len(xs)))}
+            groups = {None: np.arange(len(xs))}
         else:
             gvals = _column(table, group_by)
-            groups = {}
-            for i, g in enumerate(gvals):
-                groups.setdefault(g, []).append(i)
-        x_axis = None
-        for gval, idxs in sorted(groups.items(), key=lambda kv: str(kv[0])):
-            order = sorted(idxs, key=lambda i: xs[i])
-            x_axis = [xs[i] for i in order]
-            for col in y_columns:
-                vals = _column(table, col)
+            groups = {g: np.flatnonzero(gvals == g) for g in sorted(set(gvals.tolist()), key=str)}
+        series, x_axis = {}, []
+        for gval, idxs in groups.items():
+            order = idxs[np.argsort(xs[idxs], kind="stable")]
+            x_axis = xs[order].tolist()
+            for col, vals in ys.items():
                 label = col if gval is None else f"{col} [{group_by}={gval}]"
-                series[label] = [vals[i] for i in order]
+                series[label] = vals[order].tolist()
         svg = svgfig.line_chart(x_axis, series, x_label=x_column, y_label=", ".join(y_columns))
     else:
         y_col, z_col = y_columns
-        ys = _column(table, y_col)
-        zs = _column(table, z_col)
-        x_axis = sorted(set(xs))
-        y_axis = sorted(set(ys))
-        lookup = {(a, b): z for a, b, z in zip(xs, ys, zs)}
-        zgrid = [[lookup[(a, b)] for a in x_axis] for b in y_axis]
-        svg = svgfig.surface_chart(x_axis, y_axis, zgrid, x_label=x_column, y_label=y_col, z_label=z_col)
+        x_axis, y_axis, z = _grid(xs, _column(table, y_col), _column(table, z_col))
+        svg = svgfig.surface_chart(
+            x_axis.tolist(), y_axis.tolist(), z.tolist(), x_label=x_column, y_label=y_col, z_label=z_col
+        )
     Path(path).write_text(svg)
     return Path(path)
 
@@ -645,7 +641,7 @@ def reproduce(config):
     csv_path = out / f"{config.figure_id}__{config.seed}.csv"
     svg_path = out / f"{config.figure_id}__{config.seed}.svg"
     write_csv(table, csv_path)
-    kind, x_col, y_cols, group = _PLOT_SPECS[config.figure_id]
-    emit_plot(table, kind, svg_path, x_column=x_col, y_columns=y_cols, group_by=group)
+    kind, x_col, y_cols, group = FIGURES[config.figure_id].plot
+    emit_plot(table, kind, svg_path, x_col, y_cols, group)
     checks = evaluate_checks(config.figure_id, table)
     return table, checks, csv_path, svg_path

@@ -64,10 +64,15 @@ class MusicSpectrum:
     peaks: list
 
 
-def _angle_grid(step):
-    # Multiples of `step` covering [-pi/2, pi/2]; anchoring at zero keeps
-    # round decimal angles exactly representable on the grid.
-    kmax = int(math.floor((math.pi / 2) / step))
+def _angle_grid(step, half_width):
+    """Multiples of `step` covering [-half_width, half_width].
+
+    Anchoring at zero keeps round decimal angles exactly representable on
+    the grid.
+    """
+    if not (step > 0 and math.isfinite(step)):
+        raise ValueError(f"grid_step must be positive and finite, got {step!r}")
+    kmax = int(math.floor(half_width / step))
     return step * np.arange(-kmax, kmax + 1)
 
 
@@ -79,7 +84,7 @@ def _manifold(geom, grid_step):
     key is (M, spacing, grid_step). Both arrays are shared by every later
     call with the same key, so they are returned read-only.
     """
-    grid = _angle_grid(grid_step)
+    grid = _angle_grid(grid_step, math.pi / 2)
     m = np.arange(geom.num_elements)
     manifold = np.exp(-1j * geom.wavenumber_scale * np.outer(m, np.sin(grid)))
     grid.setflags(write=False)

@@ -323,6 +323,46 @@ def test_cli_reproduce_rejects_override_of_wrong_shape(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "figure, item",
+    [
+        ("fig5", "num_attacker_antennas=0,"),
+        ("fig7", "num_attacker_antennas=0,"),
+        ("fig6", "num_attacker_antennas=0"),
+        ("fig7", "trials=2.5"),
+        ("fig2", "trials=0"),
+        ("fig2", "grid_step=0"),
+        ("fig6", "grid_step=0"),
+    ],
+)
+def test_cli_reproduce_bad_figure_parameter_exits_2(tmp_path, capsys, figure, item):
+    rc = main(["reproduce", figure, "--out", str(tmp_path), "--set", item])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and item.split("=")[0] in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_zero_grid_step_exits_2(tmp_path, capsys):
+    acl = tmp_path / "acl.txt"
+    save_acl(acl, [enroll("alice", [0.4])])
+    for argv in (
+        ["music", "--grid-step", "0"],
+        ["verify", "--acl", str(acl), "--identity", "alice", "--threshold", "0.05", "--grid-step", "0"],
+        ["sweep-far-frr", "--theta-hat", "0.3", "--thresholds", "0.1", "--trials", "2", "--grid-step", "0"],
+    ):
+        assert main(argv) == 2
+        assert "grid_step must be positive and finite" in capsys.readouterr().err
+
+
+def test_cli_reproduce_fig5_sweep_without_equal_snr_point(tmp_path, capsys):
+    rc = main(["reproduce", "fig5", "--out", str(tmp_path), "--set", "snr_eve_db=0,5,10"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "equal_snr_point_noise_floor" not in out
+    assert "[FAIL]" not in out
+
+
 def test_cli_reproduce_set_one_element_tuple_and_tuple_of_pairs(tmp_path, capsys):
     rc = main(
         ["reproduce", "fig2", "--out", str(tmp_path), "--set", "snr_db=5,", "--set", "num_rx_antennas=16,",

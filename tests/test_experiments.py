@@ -41,6 +41,34 @@ def test_config_rejects_unknown_override():
         ExperimentConfig("fig5", overrides={"bogus": 1})
 
 
+@pytest.mark.parametrize(
+    "figure_id, key, value",
+    [
+        ("fig2", "trials", 0),
+        ("fig3", "trials", 2.5),
+        ("fig7", "trials", -1),
+        ("fig3", "phi_points", 0),
+        ("fig3d_same", "phi_points", 1.0),
+        ("fig2", "num_snapshots", 0),
+        ("fig2", "num_rx_antennas", (16, 0)),
+        ("fig6", "num_rx_antennas", 20.5),
+        ("fig5", "num_attacker_antennas", (0,)),
+        ("fig6", "num_attacker_antennas", 0),
+        ("fig7", "num_attacker_antennas", (1, 2.5)),
+    ],
+)
+def test_config_counts_take_integers_at_least_one(figure_id, key, value):
+    with pytest.raises(ValueError, match=f"override {key!r} for {figure_id} takes integers >= 1"):
+        ExperimentConfig(figure_id, overrides={key: value})
+
+
+def test_config_count_rule_follows_the_defaults():
+    # int defaults are counts; float defaults still take integer values
+    ExperimentConfig("fig5", overrides={"num_attacker_antennas": (1, np.int64(3)), "snr_alice_db": 15})
+    ExperimentConfig("fig3", overrides={"beta_pairs": ((1, 0),), "trials": 1, "phi_points": 1})
+    ExperimentConfig("fig6", overrides={"thetas": (0, 1), "snr_db": -5})
+
+
 def test_config_params_merge():
     cfg = ExperimentConfig("fig5", overrides={"theta": 0.1})
     params = cfg.params()
@@ -121,8 +149,18 @@ def test_emit_plot_unknown_column(tmp_path):
     table = run_figure(ExperimentConfig("fig5"))
     with pytest.raises(KeyError, match="nope"):
         emit_plot(table, "line", tmp_path / "x.svg", x_column="nope")
+    with pytest.raises(KeyError, match="nope"):
+        emit_plot(table, "line", tmp_path / "x.svg", "snr_eve_db", ["zeta", "nope"])
+    with pytest.raises(KeyError, match="nope"):
+        emit_plot(table, "line", tmp_path / "x.svg", "snr_eve_db", ["zeta"], group_by="nope")
     with pytest.raises(ValueError, match="unknown plot kind"):
-        emit_plot(table, "pie", tmp_path / "x.svg")
+        emit_plot(table, "pie", tmp_path / "x.svg", "snr_eve_db")
+    surface = run_figure(ExperimentConfig("fig3d_same", overrides=CHEAP_OVERRIDES["fig3d_same"]))
+    with pytest.raises(KeyError, match="nope"):
+        emit_plot(surface, "surface", tmp_path / "x.svg", "phi0_rad", ["nope", "zeta"])
+    with pytest.raises(KeyError, match="nope"):
+        emit_plot(surface, "surface", tmp_path / "x.svg", "phi0_rad", ["phi1_rad", "nope"])
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_surface_plot(tmp_path):
@@ -130,6 +168,49 @@ def test_surface_plot(tmp_path):
     table = run_figure(cfg)
     path = emit_plot(table, "surface", tmp_path / "s.svg", "phi0_rad", ["phi1_rad", "zeta"])
     assert path.read_text().lstrip().startswith("<svg")
+    incomplete = ResultTable(table.columns, table.rows[1:], table.metadata)
+    with pytest.raises(ValueError, match="rectangular grid"):
+        emit_plot(incomplete, "surface", tmp_path / "t.svg", "phi0_rad", ["phi1_rad", "zeta"])
+    with pytest.raises(ValueError, match="rectangular grid"):
+        evaluate_checks("fig3d_same", incomplete)
+
+
+@pytest.mark.parametrize("figure_id", ["fig3d_same", "fig3d_diff"])
+def test_fig3d_plot_and_checks_do_not_depend_on_row_order(figure_id, tmp_path):
+    table = run_figure(ExperimentConfig(figure_id, overrides=CHEAP_OVERRIDES[figure_id]))
+    # the four corner phases tie for the minimum and the check reports the
+    # first in row order, so the (0, 0) row stays first
+    rest = np.random.default_rng(5).permutation(np.arange(1, len(table.rows)))
+    shuffled = ResultTable(table.columns, [table.rows[0]] + [table.rows[i] for i in rest], table.metadata)
+    assert shuffled.rows != table.rows
+    kind, x_col, y_cols, group = experiments.FIGURES[figure_id].plot
+    emit_plot(table, kind, tmp_path / "a.svg", x_col, y_cols, group)
+    emit_plot(shuffled, kind, tmp_path / "b.svg", x_col, y_cols, group)
+    assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
+    assert evaluate_checks(figure_id, shuffled) == evaluate_checks(figure_id, table)
+
+
+def test_check_results_are_python_bools():
+    for figure_id in FIGURE_IDS:
+        table = run_figure(ExperimentConfig(figure_id, overrides=CHEAP_OVERRIDES[figure_id]))
+        assert all(type(c.passed) is bool for c in evaluate_checks(figure_id, table))
+
+
+def test_fig5_equal_snr_check_only_when_swept():
+    swept = evaluate_checks("fig5", run_figure(ExperimentConfig("fig5")))
+    assert "equal_snr_point_noise_floor" in [c.name for c in swept]
+    assert all(c.passed for c in swept)
+    table = run_figure(ExperimentConfig("fig5", overrides={"snr_eve_db": (0.0, 5.0, 10.0)}))
+    checks = evaluate_checks("fig5", table)
+    assert [c.name for c in checks] == ["zeta_decreasing_in_snr_eve", "curves_coincide_across_L"]
+    assert all(c.passed for c in checks)
+
+
+def test_figure_ids_follow_the_registry():
+    assert FIGURE_IDS == tuple(experiments.FIGURES)
+    assert FIGURE_IDS == ("fig2", "fig3", "fig3d_same", "fig3d_diff", "fig5", "fig6", "fig7")
+    for name in ("_DEFAULTS", "_RUNNERS", "_CHECKERS", "_PLOT_SPECS"):
+        assert not hasattr(experiments, name)
 
 
 def test_deterministic_figure_checks_pass(tmp_path):

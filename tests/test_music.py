@@ -57,11 +57,27 @@ def test_hermitian_eig_rejects_bad_input():
 
 
 def test_angle_grid_contains_round_decimals():
-    grid = _angle_grid(0.001)
+    grid = _angle_grid(0.001, math.pi / 2)
     assert 0.2 in grid
     assert -0.4 in grid
     assert grid[0] >= -math.pi / 2 and grid[-1] <= math.pi / 2
     assert np.all(np.diff(grid) > 0)
+
+
+@pytest.mark.parametrize("half_width", [math.pi / 2, math.pi])
+@pytest.mark.parametrize("step", [0.001, 0.0037, 0.05, 1.0, 4.0])
+def test_angle_grid_is_the_floor_arithmetic(step, half_width):
+    kmax = int(math.floor(half_width / step))
+    assert np.array_equal(_angle_grid(step, half_width), step * np.arange(-kmax, kmax + 1))
+
+
+@pytest.mark.parametrize("step", [0.0, -0.001, math.inf, math.nan])
+def test_angle_grid_rejects_bad_step(step):
+    with pytest.raises(ValueError, match="grid_step must be positive and finite"):
+        _angle_grid(step, math.pi / 2)
+    block = synthesize_legitimate(ArrayGeometry(4), 0.1, NoiseModel.noiseless(), 8, 0)
+    with pytest.raises(ValueError, match="grid_step"):
+        estimate_aoa(block, ArrayGeometry(4), grid_step=step)
 
 
 def test_find_peaks_tie_breaks_toward_smaller_angle():
@@ -139,7 +155,7 @@ def _uncached_pseudospectrum(mat, geom, grid_step, num_sources):
     """(grid, values, peaks) with the manifold built afresh, as before it was cached."""
     _, vecs = hermitian_eig(mat)
     noise_basis = vecs[:, : geom.num_elements - num_sources]
-    grid = _angle_grid(grid_step)
+    grid = _angle_grid(grid_step, math.pi / 2)
     m = np.arange(geom.num_elements)
     manifold = np.exp(-1j * geom.wavenumber_scale * np.outer(m, np.sin(grid)))
     denom = np.sum(np.abs(noise_basis.conj().T @ manifold) ** 2, axis=0)
