@@ -28,6 +28,11 @@ def derive_rng(seed, *key):
     return np.random.default_rng(ss)
 
 
+def _precoders(betas, phis):
+    """beta * e^{j*phi}, broadcast, with phi wrapped to [0, 2*pi) as AttackerConfig stores it."""
+    return np.asarray(betas, dtype=float) * np.exp(1j * (np.asarray(phis) % TWO_PI))
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Receiver ULA: element count and spacing in wavelengths."""
@@ -127,7 +132,7 @@ class AttackerConfig:
 
     @property
     def precoders(self):
-        return np.array(self.betas) * np.exp(1j * np.array(self.phis))
+        return _precoders(self.betas, self.phis)
 
 
 @dataclass(frozen=True)

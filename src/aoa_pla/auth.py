@@ -13,6 +13,8 @@ import statistics
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .arrays import derive_rng, synthesize_attack, synthesize_legitimate
 from .music import DEFAULT_GRID_STEP, DegenerateSpectrumError, estimate_aoa
 
@@ -79,6 +81,26 @@ def verify(profile, block, geom, threshold, grid_step=DEFAULT_GRID_STEP):
     )
 
 
+def trial_estimates(geom, theta, attacker, noise, num_snapshots, grid_step, trials, key):
+    """MUSIC estimates of `trials` legitimate and attack blocks, as a (2, trials) array.
+
+    Row 0 holds the estimates of blocks from `theta`, row 1 those of blocks
+    from `attacker`. Side s of trial t draws from `derive_rng(*key, s, t)`;
+    blocks are drawn and estimated one at a time. A degenerate spectrum
+    yields no angle, so its entry is nan.
+    """
+    estimates = np.full((2, trials), np.nan)
+    sides = ((synthesize_legitimate, theta), (synthesize_attack, attacker))
+    for t in range(trials):
+        for side, (synthesize, source) in enumerate(sides):
+            block = synthesize(geom, source, noise, num_snapshots, derive_rng(*key, side, t))
+            try:
+                estimates[side, t] = estimate_aoa(block, geom, 1, grid_step)[0]
+            except DegenerateSpectrumError:
+                pass
+    return estimates
+
+
 def far_frr_sweep(
     geom,
     theta,
@@ -94,34 +116,19 @@ def far_frr_sweep(
 
     FAR is the attacker acceptance rate, FRR the legitimate rejection
     rate, each over `trials` independent blocks (shared across
-    thresholds, so FAR is non-decreasing and FRR non-increasing).
+    thresholds, so FAR is non-decreasing and FRR non-increasing). A
+    degenerate spectrum is a reject on either side.
     """
     thresholds = [float(t) for t in thresholds]
     if not thresholds:
         raise ValueError("threshold list is empty")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-
-    def deviation(block):
-        # a degenerate spectrum yields no angle: infinite deviation, a reject
-        try:
-            return abs(estimate_aoa(block, geom, num_sources=1, grid_step=grid_step)[0] - theta)
-        except DegenerateSpectrumError:
-            return math.inf
-
-    legit_dev = []
-    attack_dev = []
-    for t in range(trials):
-        block = synthesize_legitimate(geom, theta, noise, num_snapshots, derive_rng(seed, 0, t))
-        legit_dev.append(deviation(block))
-        block = synthesize_attack(geom, attacker, noise, num_snapshots, derive_rng(seed, 1, t))
-        attack_dev.append(deviation(block))
-    out = []
-    for thr in thresholds:
-        far = sum(d <= thr for d in attack_dev) / trials
-        frr = sum(d > thr for d in legit_dev) / trials
-        out.append((thr, far, frr))
-    return out
+    # a nan deviation compares False, so `<=` rejects it
+    legit_dev, attack_dev = np.abs(
+        trial_estimates(geom, theta, attacker, noise, num_snapshots, grid_step, trials, (seed,)) - theta
+    )
+    return [(thr, float(np.mean(attack_dev <= thr)), float(np.mean(~(legit_dev <= thr)))) for thr in thresholds]
 
 
 def _check_acl_entry(profile, known):

@@ -87,7 +87,7 @@ def _complex_literal(z):
     return f"{re!r}{sign}{abs(im)!r}j"
 
 
-def read_signal_block(path, origin="legitimate"):
+def read_signal_block(path):
     """Parse a file written by `write_signal_block`; errors name `path:line`.
 
     Blank lines are skipped. Non-finite samples are rejected here, where
@@ -118,7 +118,7 @@ def read_signal_block(path, origin="legitimate"):
     if not finite.all():
         lineno = body[int(np.argmin(finite))][0]
         raise ValueError(f"{path}:{lineno}: non-finite sample")
-    return SignalBlock(samples, origin=origin)
+    return SignalBlock(samples)
 
 
 def _add_synth_flags(parser, with_attack=False):

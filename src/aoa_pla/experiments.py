@@ -18,27 +18,23 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, svgfig
-from .arrays import (
-    TWO_PI,
-    ArrayGeometry,
-    AttackerConfig,
-    NoiseModel,
-    derive_rng,
-    synthesize_attack,
-    synthesize_legitimate,
-)
+from .arrays import TWO_PI, ArrayGeometry, AttackerConfig, NoiseModel, _precoders, derive_rng
 from .attack import monte_carlo_mse, mse_delta
-from .music import _angle_grid, estimate_aoa
+from .auth import trial_estimates
+from .music import _angle_grid, _find_peaks
 
 
 def _shape(value):
     """Nesting of a figure parameter: 'a scalar', 'a flat tuple' or 'a tuple of pairs'.
 
-    Any other nesting is 'a nested tuple', which no default has, so an
-    override of that shape is always rejected.
+    Any other nesting is 'a nested tuple' and an empty tuple is 'an empty
+    tuple'; no default has either, so an override of that shape is always
+    rejected.
     """
     if not isinstance(value, (tuple, list)):
         return "a scalar"
+    if not value:
+        return "an empty tuple"
     shapes = {_shape(v) for v in value}
     if shapes <= {"a scalar"}:
         return "a flat tuple"
@@ -149,25 +145,13 @@ def _grid(xs, ys, zs):
     return x_axis, y_axis, z
 
 
-def _best_case_attacker(theta_hat, num_antennas):
-    """All antennas at theta_hat, zero phases, amplitudes summing to 1."""
-    return AttackerConfig(
-        (theta_hat,) * num_antennas,
-        (1.0 / num_antennas,) * num_antennas,
-        (0.0,) * num_antennas,
-    )
-
-
-def _precoders(betas, phis):
-    """beta * e^{j*phi}, broadcast, with phi wrapped to [0, 2*pi) as AttackerConfig stores it."""
-    return np.asarray(betas, dtype=float) * np.exp(1j * (np.asarray(phis) % TWO_PI))
-
-
 def _best_case_precoders(nums):
     """Precoders of best-case attackers of every size in `nums`, one row each.
 
-    Row i holds nums[i] precoders 1/nums[i], padded to max(nums) with
-    zero-precoder antennas, which add nothing to the wavefront.
+    The best case for L antennas puts all of them at one angle with
+    precoders 1/L, summing to 1. Row i holds nums[i] precoders 1/nums[i],
+    padded to max(nums) with zero-precoder antennas, which add nothing to
+    the wavefront.
     """
     precoders = np.zeros((len(nums), max(nums)))
     for i, num in enumerate(nums):
@@ -197,18 +181,11 @@ def run_fig2(config):
     for m in p["num_rx_antennas"]:
         geom = ArrayGeometry(m)
         for snr_db in p["snr_db"]:
-            noise = NoiseModel.from_db(snr_db)
-            est_a = np.empty(p["trials"])
-            est_e = np.empty(p["trials"])
-            for t in range(p["trials"]):
-                block = synthesize_legitimate(
-                    geom, p["theta"], noise, p["num_snapshots"], derive_rng(config.seed, point, 0, t)
-                )
-                est_a[t] = estimate_aoa(block, geom, 1, p["grid_step"])[0]
-                block = synthesize_attack(
-                    geom, attacker, noise, p["num_snapshots"], derive_rng(config.seed, point, 1, t)
-                )
-                est_e[t] = estimate_aoa(block, geom, 1, p["grid_step"])[0]
+            # a degenerate trial is nan, so its point's means are nan
+            est_a, est_e = trial_estimates(
+                geom, p["theta"], attacker, NoiseModel.from_db(snr_db), p["num_snapshots"], p["grid_step"],
+                p["trials"], (config.seed, point),
+            )
             rows.append(
                 (
                     float(snr_db),
@@ -399,23 +376,10 @@ def run_fig6(config):
     noise = NoiseModel.from_db(p["snr_db"])
     grid = _angle_grid(p["grid_step"], math.pi)
     columns = ["theta_hat_e_rad"] + [f"zeta_theta_{theta}" for theta in p["thetas"]]
-    zeta = _best_case_delta(geom, p["thetas"], grid[:, None], p["num_attacker_antennas"]) + noise.floor
+    precoders = _best_case_precoders((p["num_attacker_antennas"],))
+    zeta = mse_delta(geom, p["thetas"], grid[:, None, None], precoders) + noise.floor
     rows = [(float(th_e),) + tuple(float(z) for z in zs) for th_e, zs in zip(grid, zeta)]
     return ResultTable(columns, rows, _metadata(config, p))
-
-
-def _best_case_delta(geom, theta, theta_hat, num_antennas):
-    """mse_delta of `_best_case_attacker(theta_hat, num_antennas)`, batched over theta_hat."""
-    angles = np.asarray(theta_hat, dtype=float)[..., None]
-    return mse_delta(geom, theta, angles, np.full(num_antennas, 1.0 / num_antennas))
-
-
-def _local_minima(v):
-    mask = np.zeros(v.shape, dtype=bool)
-    mask[0] = v[0] < v[1]
-    mask[-1] = v[-1] < v[-2]
-    mask[1:-1] = (v[1:-1] < v[:-2]) & (v[1:-1] < v[2:])
-    return np.flatnonzero(mask)
 
 
 def _check_fig6(table):
@@ -425,25 +389,21 @@ def _check_fig6(table):
     zeta = _column(table, f"zeta_theta_{theta}")
     floor = 2.0 * 10.0 ** (-p["snr_db"] / 10.0)
     results = []
-    minima = _local_minima(zeta)
-    lowest_two = sorted(minima[np.argsort(zeta[minima])[:2]])
-    expect = sorted(
-        (int(np.argmin(np.abs(grid - theta))), int(np.argmin(np.abs(grid - (math.pi - theta)))))
-    )
+    # the minima of zeta are the peaks of -zeta, lowest zeta first
+    lowest_two = sorted(angle for angle, _ in _find_peaks(grid, -zeta)[:2])
+    expect = sorted(float(grid[np.argmin(np.abs(grid - t))]) for t in (theta, math.pi - theta))
     results.append(
-        CheckResult(
-            "alias_minima_locations",
-            list(lowest_two) == expect,
-            f"minima at grid angles {[float(grid[i]) for i in lowest_two]}",
-        )
+        CheckResult("alias_minima_locations", lowest_two == expect, f"minima at grid angles {lowest_two}")
     )
     err = abs(float(np.min(zeta)) - floor)
     results.append(CheckResult("minimum_is_noise_floor", err <= 1e-12, f"|min - {floor!r}| = {err:.3e}"))
     geom = ArrayGeometry(p["num_rx_antennas"])
     probes = grid[:: max(len(grid) // 64, 1)]
-    num = p["num_attacker_antennas"]
+    precoders = _best_case_precoders((p["num_attacker_antennas"],))
     # the noise floor cancels in zeta(t) - zeta(pi - t)
-    defects = _best_case_delta(geom, theta, probes, num) - _best_case_delta(geom, theta, math.pi - probes, num)
+    defects = mse_delta(geom, theta, probes[:, None], precoders) - mse_delta(
+        geom, theta, (math.pi - probes)[:, None], precoders
+    )
     sym_defect = float(np.max(np.abs(defects)))
     results.append(
         CheckResult("sine_alias_symmetry", sym_defect <= 1e-12, f"max |zeta(t) - zeta(pi-t)| = {sym_defect:.3e}")
@@ -469,12 +429,13 @@ def run_fig7(config):
     theta_hats = (p["theta"], p["theta"] + p["angle_gap"])
     # theory[cond, idx] for the aligned (cond 0) and misaligned (cond 1) attackers
     angles = np.asarray(theta_hats)[:, None, None]
-    theory = mse_delta(geom, p["theta"], angles, _best_case_precoders(nums)) + noise.floor
+    precoders = _best_case_precoders(nums)
+    theory = mse_delta(geom, p["theta"], angles, precoders) + noise.floor
     rows = []
     for idx, num in enumerate(nums):
         row = [int(num)]
         for cond, theta_hat in enumerate(theta_hats):
-            attacker = _best_case_attacker(theta_hat, num)
+            attacker = AttackerConfig.from_precoders((theta_hat,) * num, precoders[idx, :num])
             sim, stderr = monte_carlo_mse(
                 geom, p["theta"], attacker, noise, p["trials"], derive_rng(config.seed, idx, cond)
             )

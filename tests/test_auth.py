@@ -2,6 +2,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,8 +16,10 @@ from aoa_pla.auth import (
     far_frr_sweep,
     load_acl,
     save_acl,
+    trial_estimates,
     verify,
 )
+from aoa_pla.experiments import ExperimentConfig, run_fig2
 
 
 def test_enroll_statistics():
@@ -108,6 +111,46 @@ def test_far_frr_counts_degenerate_legitimate_trial_as_reject(monkeypatch):
     assert len(legit_calls) == 4
     assert frr == 0.25
     assert far == 1.0
+
+
+def _degenerate_on_call(monkeypatch, n):
+    """Make auth.estimate_aoa raise DegenerateSpectrumError on its n-th call only."""
+    real_estimate = auth.estimate_aoa
+    calls = []
+
+    def estimate(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == n:
+            raise auth.DegenerateSpectrumError("injected")
+        return real_estimate(*args, **kwargs)
+
+    monkeypatch.setattr(auth, "estimate_aoa", estimate)
+
+
+def test_trial_estimates_degenerate_trial_is_nan(monkeypatch):
+    geom = ArrayGeometry(8)
+    args = (geom, 0.4, AttackerConfig.single(0.1), NoiseModel.from_db(20.0), 50, 0.001, 3, (5, 2))
+    clean = trial_estimates(*args)
+    assert clean.shape == (2, 3) and not np.isnan(clean).any()
+    # calls alternate legitimate / attack per trial, so call 4 is the attack side of trial 1
+    _degenerate_on_call(monkeypatch, 4)
+    hit = trial_estimates(*args)
+    assert np.isnan(hit[1, 1])
+    mask = np.ones((2, 3), dtype=bool)
+    mask[1, 1] = False
+    assert np.array_equal(hit[mask], clean[mask])
+
+
+def test_run_fig2_degenerate_trial_makes_its_point_nan(monkeypatch):
+    config = ExperimentConfig(
+        "fig2", overrides=dict(trials=2, num_snapshots=50, snr_db=(5.0, 15.0), num_rx_antennas=(8,))
+    )
+    clean = run_fig2(config).rows
+    # point 0 makes calls 1-4, so call 6 is the attack side of point 1, trial 0
+    _degenerate_on_call(monkeypatch, 6)
+    rows = run_fig2(config).rows
+    assert rows[0] == clean[0]
+    assert math.isnan(rows[1][3]) and rows[1][2] == clean[1][2]
 
 
 def test_far_frr_validation():

@@ -363,6 +363,14 @@ def test_cli_reproduce_fig5_sweep_without_equal_snr_point(tmp_path, capsys):
     assert "[FAIL]" not in out
 
 
+def test_cli_reproduce_fig6_one_point_grid_fails_its_checks(tmp_path, capsys):
+    # a step above pi leaves the one-point grid [0], which has no local minimum
+    rc = main(["reproduce", "fig6", "--out", str(tmp_path), "--set", "grid_step=4"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "[FAIL] fig6:alias_minima_locations  (minima at grid angles [])" in out
+
+
 def test_cli_reproduce_set_one_element_tuple_and_tuple_of_pairs(tmp_path, capsys):
     rc = main(
         ["reproduce", "fig2", "--out", str(tmp_path), "--set", "snr_db=5,", "--set", "num_rx_antennas=16,",

@@ -62,6 +62,21 @@ def test_config_counts_take_integers_at_least_one(figure_id, key, value):
         ExperimentConfig(figure_id, overrides={key: value})
 
 
+@pytest.mark.parametrize(
+    "figure_id, key",
+    [
+        ("fig7", "num_attacker_antennas"),
+        ("fig5", "snr_eve_db"),
+        ("fig2", "snr_db"),
+        ("fig3", "beta_pairs"),
+        ("fig6", "thetas"),
+    ],
+)
+def test_config_rejects_empty_tuple(figure_id, key):
+    with pytest.raises(ValueError, match=f"override {key!r} for {figure_id} must be .*, got an empty tuple"):
+        ExperimentConfig(figure_id, overrides={key: ()})
+
+
 def test_config_count_rule_follows_the_defaults():
     # int defaults are counts; float defaults still take integer values
     ExperimentConfig("fig5", overrides={"num_attacker_antennas": (1, np.int64(3)), "snr_alice_db": 15})

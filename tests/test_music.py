@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aoa_pla import experiments
+from aoa_pla import auth
 from aoa_pla.arrays import (
     ArrayGeometry,
     AttackerConfig,
@@ -246,6 +246,6 @@ def test_run_fig2_matches_uncached_reference(monkeypatch):
         seen.append(estimates[0])
         return estimates
 
-    monkeypatch.setattr(experiments, "estimate_aoa", recording_estimate)
+    monkeypatch.setattr(auth, "estimate_aoa", recording_estimate)
     run_fig2(config)
     assert seen == expected
