@@ -140,14 +140,11 @@ class SignalBlock:
     """M x N complex snapshot matrix received by Bob."""
 
     samples: np.ndarray
-    origin: str = "legitimate"
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=complex)
         if samples.ndim != 2 or samples.shape[1] < 1:
             raise ValueError(f"samples must be M x N with N >= 1, got shape {samples.shape}")
-        if self.origin not in ("legitimate", "attack"):
-            raise ValueError(f"unknown origin {self.origin!r}")
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -199,7 +196,7 @@ def synthesize_legitimate(geom, theta, noise, num_snapshots, seed):
     rng = np.random.default_rng(seed)
     a = steering_vector(geom, theta)
     samples = a[:, None] + _noise_block(rng, geom.num_elements, num_snapshots, noise.snr_legit)
-    return SignalBlock(samples, origin="legitimate")
+    return SignalBlock(samples)
 
 
 def synthesize_attack(geom, attacker, noise, num_snapshots, seed):
@@ -210,4 +207,4 @@ def synthesize_attack(geom, attacker, noise, num_snapshots, seed):
     samples = attack_wavefront(geom, attacker)[:, None] + _noise_block(
         rng, geom.num_elements, num_snapshots, noise.snr_attacker
     )
-    return SignalBlock(samples, origin="attack")
+    return SignalBlock(samples)

@@ -7,9 +7,11 @@ The MSE between the legitimate and adversarial signals at Bob is
 
 with a the legitimate steering vector, A the stacked attacker steering
 vectors, q the complex precoders and G = A^H A. The deterministic part
-delta = ||a - A q||^2 (everything except the noise floor) vanishes only
-when all attacker angles alias the legitimate one (sin equality) and the
-precoders sum to 1.
+delta = ||a - A q||^2 (everything except the noise floor) vanishes when
+all attacker angles alias the legitimate one (sin equality) and the
+precoders sum to 1. That condition is sufficient, not necessary: when
+the attacker's L >= M steering vectors span C^M, a least-squares q solves
+A q = a and reaches delta = 0 with no angle aliased.
 
 `mse_delta` evaluates delta in the direct form, batched over sweep
 points. The paper's expanded form (`gram_matrix`,
@@ -254,10 +256,13 @@ def aggregate_precoder(attacker):
 
 
 def multi_optimum_condition(attacker, theta, tol=1e-12):
-    """Whether the attacker attains the noise-floor MSE against theta.
+    """Whether the attacker meets the aliasing condition for the noise-floor MSE.
 
-    Requires sin(theta_hat_i) = sin(theta) for every antenna and an
-    aggregate precoder of exactly 1 + 0j, both within `tol`.
+    The condition is sin(theta_hat_i) = sin(theta) for every antenna and an
+    aggregate precoder of exactly 1 + 0j, both within `tol`. It is
+    sufficient, not necessary: an attacker whose steering vectors span C^M
+    can reach delta = 0 with no angle aliased, and then `satisfied` is
+    False.
     """
     target = math.sin(theta)
     worst_gap = max(abs(math.sin(a) - target) for a in attacker.angles)

@@ -1,13 +1,15 @@
 """Deterministic scenario runs reproducing the headline simulation figures.
 
 Each figure is one `FIGURES` entry: its default parameters, the runner that
-sweeps its scenario into a ResultTable (columns + rows + complete
-metadata), the automated checks on the numbers it produced, and its plot
-layout. CSV output is byte-reproducible for a fixed seed.
+sweeps its scenario into named columns, the automated checks on the numbers
+it produced, and its plot layout. Every runner hands its columns to
+`_table`, the one place that lays them out as ResultTable rows with complete
+metadata. CSV output is byte-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from collections.abc import Callable
@@ -96,28 +98,27 @@ class CheckResult:
     detail: str = ""
 
 
-def _metadata(config, params):
-    meta = {"figure_id": config.figure_id, "seed": config.seed, "version": __version__}
-    meta.update(params)
-    return meta
+def _table(config, params, columns):
+    """ResultTable of a runner's ordered {column name: array-like} mapping.
 
-
-def _fmt_cell(value):
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+    Each value is flattened in C order into Python scalars, so every row
+    holds one int or float per column; the metadata is the figure id, seed,
+    version and every resolved parameter.
+    """
+    cells = (np.ravel(values).tolist() for values in columns.values())
+    meta = {"figure_id": config.figure_id, "seed": config.seed, "version": __version__, **params}
+    return ResultTable(list(columns), list(zip(*cells, strict=True)), meta)
 
 
 def write_csv(table, path):
-    """Comma-separated table with `#`-prefixed metadata comment lines."""
+    """Comma-separated table with `#`-prefixed metadata comment lines.
+
+    Cells are Python scalars, so `str` prints each float's shortest
+    round-trip repr.
+    """
     lines = [f"# {key} = {table.metadata[key]}" for key in sorted(table.metadata)]
     lines.append(",".join(table.columns))
-    for row in table.rows:
-        lines.append(",".join(_fmt_cell(v) for v in row))
+    lines.extend(",".join(map(str, row)) for row in table.rows)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -166,37 +167,26 @@ def _best_case_precoders(nums):
 def run_fig2(config):
     """Mean MUSIC estimates for Alice and Eve across SNR and array size."""
     p = config.params()
-    columns = [
-        "snr_db",
-        "num_rx_antennas",
-        "mean_est_alice_rad",
-        "mean_est_eve_rad",
-        "frac_trials_est_within_0.1rad",
-    ]
     attacker = AttackerConfig(
         (p["theta_hat"], p["theta_hat"]), (0.5, 0.5), (0.0, 0.0)
     )
-    rows = []
-    point = 0
-    for m in p["num_rx_antennas"]:
-        geom = ArrayGeometry(m)
-        for snr_db in p["snr_db"]:
-            # a degenerate trial is nan, so its point's means are nan
-            est_a, est_e = trial_estimates(
-                geom, p["theta"], attacker, NoiseModel.from_db(snr_db), p["num_snapshots"], p["grid_step"],
-                p["trials"], (config.seed, point),
-            )
-            rows.append(
-                (
-                    float(snr_db),
-                    int(m),
-                    float(np.mean(est_a)),
-                    float(np.mean(est_e)),
-                    float(np.mean(np.abs(est_a - est_e) < 0.1)),
-                )
-            )
-            point += 1
-    return ResultTable(columns, rows, _metadata(config, p))
+    points = list(itertools.product(p["num_rx_antennas"], p["snr_db"]))
+    # est[point, side, trial]; a degenerate trial is nan, so its point's means are nan
+    est = np.stack([
+        trial_estimates(
+            ArrayGeometry(m), p["theta"], attacker, NoiseModel.from_db(snr_db), p["num_snapshots"], p["grid_step"],
+            p["trials"], (config.seed, point),
+        )
+        for point, (m, snr_db) in enumerate(points)
+    ])
+    ms, snrs = zip(*points)
+    return _table(config, p, {
+        "snr_db": np.asarray(snrs, dtype=float),
+        "num_rx_antennas": ms,
+        "mean_est_alice_rad": np.mean(est[:, 0], axis=1),
+        "mean_est_eve_rad": np.mean(est[:, 1], axis=1),
+        "frac_trials_est_within_0.1rad": np.mean(np.abs(est[:, 0] - est[:, 1]) < 0.1, axis=1),
+    })
 
 
 def _check_fig2(table):
@@ -237,19 +227,24 @@ def run_fig3(config):
     geom = ArrayGeometry(p["num_rx_antennas"])
     noise = NoiseModel.from_db(p["snr_db"])
     phis = np.linspace(0.0, TWO_PI, p["phi_points"])
-    columns = ["phi0_rad", "beta0", "beta1", "zeta_theory", "zeta_sim", "zeta_sim_stderr"]
-    # theory[pair_idx, k] over the (beta pair, phi) grid
-    precoders = _precoders(np.asarray(p["beta_pairs"])[:, None, :], phis[:, None])
+    betas = np.asarray(p["beta_pairs"], dtype=float)
+    # theory[pair_idx, k] and sim[pair_idx, k] = (mean, stderr) over the (beta pair, phi) grid
+    precoders = _precoders(betas[:, None, :], phis[:, None])
     theory = mse_delta(geom, p["theta"], (p["theta"], p["theta"]), precoders) + noise.floor
-    rows = []
-    for pair_idx, (b0, b1) in enumerate(p["beta_pairs"]):
-        for k, phi in enumerate(phis):
-            attacker = AttackerConfig((p["theta"], p["theta"]), (b0, b1), (phi, phi))
-            sim, stderr = monte_carlo_mse(
-                geom, p["theta"], attacker, noise, p["trials"], derive_rng(config.seed, pair_idx, k)
-            )
-            rows.append((float(phi), float(b0), float(b1), float(theory[pair_idx, k]), sim, stderr))
-    return ResultTable(columns, rows, _metadata(config, p))
+    sim = np.empty(theory.shape + (2,))
+    for pair_idx, k in np.ndindex(theory.shape):
+        attacker = AttackerConfig((p["theta"], p["theta"]), p["beta_pairs"][pair_idx], (phis[k], phis[k]))
+        sim[pair_idx, k] = monte_carlo_mse(
+            geom, p["theta"], attacker, noise, p["trials"], derive_rng(config.seed, pair_idx, k)
+        )
+    return _table(config, p, {
+        "phi0_rad": np.broadcast_to(phis, theory.shape),
+        "beta0": np.broadcast_to(betas[:, :1], theory.shape),
+        "beta1": np.broadcast_to(betas[:, 1:], theory.shape),
+        "zeta_theory": theory,
+        "zeta_sim": sim[..., 0],
+        "zeta_sim_stderr": sim[..., 1],
+    })
 
 
 def _check_fig3(table):
@@ -287,12 +282,11 @@ def run_fig3d(config):
     geom = ArrayGeometry(p["num_rx_antennas"])
     noise = NoiseModel.from_db(p["snr_db"])
     phis = np.linspace(0.0, TWO_PI, p["phi_points"])
-    columns = ["phi0_rad", "phi1_rad", "zeta"]
     phi0, phi1 = np.meshgrid(phis, phis, indexing="ij")
-    precoders = _precoders(p["betas"], np.stack([phi0, phi1], axis=-1))
-    zeta = mse_delta(geom, p["theta"], p["theta_hats"], precoders) + noise.floor
-    rows = [(float(a), float(b), float(z)) for a, b, z in zip(phi0.ravel(), phi1.ravel(), zeta.ravel())]
-    return ResultTable(columns, rows, _metadata(config, p))
+    # the precoder grid is a temporary, freed before the rows are built
+    zeta = mse_delta(geom, p["theta"], p["theta_hats"], _precoders(p["betas"], np.stack([phi0, phi1], axis=-1)))
+    zeta += noise.floor
+    return _table(config, p, {"phi0_rad": phi0, "phi1_rad": phi1, "zeta": zeta})
 
 
 def _circular_dist(phi):
@@ -333,15 +327,14 @@ def run_fig5(config):
     """Closed-form MSE vs attacker SNR for several attacker array sizes."""
     p = config.params()
     geom = ArrayGeometry(p["num_rx_antennas"])
-    columns = ["snr_eve_db", "num_attacker_antennas", "zeta"]
     nums = p["num_attacker_antennas"]
     deltas = mse_delta(geom, p["theta"], p["theta"], _best_case_precoders(nums))
-    rows = []
-    for num, delta in zip(nums, deltas):
-        for snr_eve_db in p["snr_eve_db"]:
-            floor = NoiseModel.from_db(p["snr_alice_db"], snr_eve_db).floor
-            rows.append((float(snr_eve_db), int(num), float(delta) + floor))
-    return ResultTable(columns, rows, _metadata(config, p))
+    floors = np.array([NoiseModel.from_db(p["snr_alice_db"], snr_eve_db).floor for snr_eve_db in p["snr_eve_db"]])
+    # one row per (attacker size, attacker SNR), sizes outermost
+    num, snr_eve = np.meshgrid(nums, np.asarray(p["snr_eve_db"], dtype=float), indexing="ij")
+    return _table(config, p, {
+        "snr_eve_db": snr_eve, "num_attacker_antennas": num, "zeta": deltas[:, None] + floors,
+    })
 
 
 def _check_fig5(table):
@@ -375,11 +368,12 @@ def run_fig6(config):
     geom = ArrayGeometry(p["num_rx_antennas"])
     noise = NoiseModel.from_db(p["snr_db"])
     grid = _angle_grid(p["grid_step"], math.pi)
-    columns = ["theta_hat_e_rad"] + [f"zeta_theta_{theta}" for theta in p["thetas"]]
     precoders = _best_case_precoders((p["num_attacker_antennas"],))
+    # zeta[grid point, theta]
     zeta = mse_delta(geom, p["thetas"], grid[:, None, None], precoders) + noise.floor
-    rows = [(float(th_e),) + tuple(float(z) for z in zs) for th_e, zs in zip(grid, zeta)]
-    return ResultTable(columns, rows, _metadata(config, p))
+    return _table(config, p, {
+        "theta_hat_e_rad": grid, **{f"zeta_theta_{theta}": zeta[:, i] for i, theta in enumerate(p["thetas"])},
+    })
 
 
 def _check_fig6(table):
@@ -416,32 +410,29 @@ def run_fig7(config):
     p = config.params()
     geom = ArrayGeometry(p["num_rx_antennas"])
     noise = NoiseModel.from_db(p["snr_db"])
-    columns = [
-        "num_attacker_antennas",
-        "zeta_aligned_theory",
-        "zeta_aligned_sim",
-        "zeta_aligned_stderr",
-        "zeta_misaligned_theory",
-        "zeta_misaligned_sim",
-        "zeta_misaligned_stderr",
-    ]
     nums = p["num_attacker_antennas"]
     theta_hats = (p["theta"], p["theta"] + p["angle_gap"])
-    # theory[cond, idx] for the aligned (cond 0) and misaligned (cond 1) attackers
+    # theory[cond, idx] and sim[cond, idx] = (mean, stderr) for the aligned (cond 0)
+    # and misaligned (cond 1) attackers
     angles = np.asarray(theta_hats)[:, None, None]
     precoders = _best_case_precoders(nums)
     theory = mse_delta(geom, p["theta"], angles, precoders) + noise.floor
-    rows = []
-    for idx, num in enumerate(nums):
-        row = [int(num)]
-        for cond, theta_hat in enumerate(theta_hats):
-            attacker = AttackerConfig.from_precoders((theta_hat,) * num, precoders[idx, :num])
-            sim, stderr = monte_carlo_mse(
-                geom, p["theta"], attacker, noise, p["trials"], derive_rng(config.seed, idx, cond)
-            )
-            row.extend([float(theory[cond, idx]), sim, stderr])
-        rows.append(tuple(row))
-    return ResultTable(columns, rows, _metadata(config, p))
+    sim = np.empty(theory.shape + (2,))
+    for cond, idx in np.ndindex(theory.shape):
+        num = nums[idx]
+        attacker = AttackerConfig.from_precoders((theta_hats[cond],) * num, precoders[idx, :num])
+        sim[cond, idx] = monte_carlo_mse(
+            geom, p["theta"], attacker, noise, p["trials"], derive_rng(config.seed, idx, cond)
+        )
+    return _table(config, p, {
+        "num_attacker_antennas": nums,
+        "zeta_aligned_theory": theory[0],
+        "zeta_aligned_sim": sim[0, :, 0],
+        "zeta_aligned_stderr": sim[0, :, 1],
+        "zeta_misaligned_theory": theory[1],
+        "zeta_misaligned_sim": sim[1, :, 0],
+        "zeta_misaligned_stderr": sim[1, :, 1],
+    })
 
 
 def _check_fig7(table):

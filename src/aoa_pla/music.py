@@ -8,8 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import steering_vector
-
 DEFAULT_GRID_STEP = 0.001
 
 

@@ -99,8 +99,6 @@ def test_attacker_config_validation():
 def test_signal_block_validation():
     with pytest.raises(ValueError):
         SignalBlock(np.zeros(4))
-    with pytest.raises(ValueError):
-        SignalBlock(np.zeros((4, 2)), origin="other")
     block = SignalBlock(np.zeros((4, 3)))
     assert block.num_elements == 4
     assert block.num_snapshots == 3
@@ -110,7 +108,6 @@ def test_noiseless_legitimate_block_is_pure_steering():
     geom = ArrayGeometry(6)
     block = synthesize_legitimate(geom, 0.3, NoiseModel.noiseless(), 5, 0)
     a = steering_vector(geom, 0.3)
-    assert block.origin == "legitimate"
     assert np.allclose(block.samples, a[:, None], atol=0.0)
 
 
@@ -121,7 +118,6 @@ def test_noiseless_attack_block_is_precoded_sum():
     expected = sum(
         q * steering_vector(geom, ang) for ang, q in zip(att.angles, att.precoders)
     )
-    assert block.origin == "attack"
     assert np.allclose(block.samples, expected[:, None], atol=1e-15)
 
 

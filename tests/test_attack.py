@@ -302,6 +302,17 @@ def test_optimum_condition_attains_noise_floor():
     assert mse_closed_form(geom, 0.4, att, noise).zeta == pytest.approx(noise.floor, abs=1e-12)
 
 
+def test_non_aliased_attacker_reaches_zero_delta():
+    # four steering vectors at distinct sines span C^4, so least squares solves A q = a
+    geom = ArrayGeometry(4)
+    angles = (0.1, 0.7, -0.5, 1.2)
+    a_matrix = np.stack([steering_vector(geom, angle) for angle in angles], axis=1)
+    q = np.linalg.lstsq(a_matrix, steering_vector(geom, 0.4), rcond=None)[0]
+    att = AttackerConfig.from_precoders(angles, q)
+    assert mse_delta(geom, 0.4, att.angles, att.precoders) <= 1e-20
+    assert not multi_optimum_condition(att, 0.4).satisfied
+
+
 def test_monte_carlo_noiseless_equals_closed_form():
     geom = ArrayGeometry(8)
     att = AttackerConfig.single(0.1, 0.6, 0.3)

@@ -92,10 +92,13 @@ def test_far_frr_monotone_in_threshold():
 
 def test_far_frr_counts_degenerate_legitimate_trial_as_reject(monkeypatch):
     real_estimate = auth.estimate_aoa
+    calls = []
     legit_calls = []
 
     def estimate(block, *args, **kwargs):
-        if block.origin == "legitimate":
+        # each trial estimates its legitimate block first, then its attack block
+        calls.append(block)
+        if len(calls) % 2 == 1:
             legit_calls.append(block)
             if len(legit_calls) == 2:
                 raise auth.DegenerateSpectrumError("injected")

@@ -391,6 +391,19 @@ def test_cli_reproduce_set_one_element_tuple_and_tuple_of_pairs(tmp_path, capsys
     assert [row.split(",")[1:3] for row in lines[-6::3]] == [["0.5", "0.5"], ["0.3", "0.3"]]
 
 
+def test_cli_reproduce_integer_overrides_print_as_floats(tmp_path, capsys):
+    # the exit code is not asserted: fig3 at few trials may miss its 2 % gap check
+    main(["reproduce", "fig5", "--out", str(tmp_path), "--set", "snr_eve_db=0,5"])
+    lines = (tmp_path / "fig5__0.csv").read_text().splitlines()
+    header = lines.index("snr_eve_db,num_attacker_antennas,zeta")
+    assert {row.split(",")[0] for row in lines[header + 1 :]} == {"0.0", "5.0"}
+    main(["reproduce", "fig3", "--out", str(tmp_path), "--set", "beta_pairs=1,0;", "--set", "phi_points=5"])
+    capsys.readouterr()
+    lines = (tmp_path / "fig3__0.csv").read_text().splitlines()
+    header = lines.index("phi0_rad,beta0,beta1,zeta_theory,zeta_sim,zeta_sim_stderr")
+    assert [row.split(",")[1:3] for row in lines[header + 1 :]] == [["1.0", "0.0"]] * 5
+
+
 def test_cli_reproduce_config_key_it_does_not_read_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[experiment]\nseed = 1\n[array]\nnum_elements = 4\n")

@@ -98,6 +98,8 @@ def test_runner_produces_table_and_checks(figure_id, tmp_path):
     assert isinstance(table, ResultTable)
     assert table.rows
     assert all(len(row) == len(table.columns) for row in table.rows)
+    # write_csv formats cells with str, which prints repr precision only for Python scalars
+    assert all(type(cell) in (int, float) for row in table.rows for cell in row)
     assert table.metadata["figure_id"] == figure_id
     assert table.metadata["seed"] == 0
     checks = evaluate_checks(figure_id, table)
