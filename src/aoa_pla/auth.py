@@ -117,11 +117,14 @@ def far_frr_sweep(
     FAR is the attacker acceptance rate, FRR the legitimate rejection
     rate, each over `trials` independent blocks (shared across
     thresholds, so FAR is non-decreasing and FRR non-increasing). A
-    degenerate spectrum is a reject on either side.
+    degenerate spectrum is a reject on either side. Every threshold must
+    be > 0, as in `verify`.
     """
     thresholds = [float(t) for t in thresholds]
     if not thresholds:
         raise ValueError("threshold list is empty")
+    if not all(t > 0 for t in thresholds):
+        raise ValueError("threshold must be > 0")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     # a nan deviation compares False, so `<=` rejects it
@@ -138,6 +141,12 @@ def _check_acl_entry(profile, known):
             f"identity {profile.identity!r} has a non-finite angle {profile.enrolled_angle!r} "
             f"or spread {profile.enrollment_spread!r}"
         )
+    if profile.enrollment_spread < 0:
+        raise ValueError(f"identity {profile.identity!r} has a negative spread {profile.enrollment_spread!r}")
+    if profile.num_enrollment_estimates < 1:
+        raise ValueError(
+            f"identity {profile.identity!r} has an estimate count {profile.num_enrollment_estimates!r} below 1"
+        )
     if profile.identity in known:
         raise ValueError(f"duplicate identity {profile.identity!r}")
 
@@ -147,8 +156,8 @@ def save_acl(path, profiles):
 
     Raises ValueError, writing nothing, for a profile that `load_acl`
     would reject or read back differently: an identity containing a comma,
-    a line break or surrounding whitespace, a repeated identity, or a
-    non-finite angle or spread.
+    a line break or surrounding whitespace, a repeated identity, a
+    non-finite angle or spread, a negative spread, or a count below 1.
     """
     known = set()
     lines = []
@@ -168,8 +177,9 @@ def save_acl(path, profiles):
 def load_acl(path):
     """Read an access control list back into {identity: AoaProfile}.
 
-    A malformed line, a non-finite angle or spread and a repeated identity
-    raise ValueError naming `path:line`.
+    A malformed line, a non-finite angle or spread, a negative spread, a
+    count below 1 and a repeated identity raise ValueError naming
+    `path:line`.
     """
     profiles = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):

@@ -2,15 +2,15 @@
 
 Subcommands: `reproduce <fig>`, `attack-opt`, `music`, `verify`,
 `sweep-far-frr`. Exit status is 0 on success; `verify` uses 0 = accept,
-1 = reject, 2 = error. The default output directory can be set via the
-AOA_PLA_OUT environment variable.
+1 = reject, 2 = error. `reproduce` takes its seed from `--seed`
+(default 0), its output directory from `--out` (default `.`) and figure
+parameters from `--set`.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -22,54 +22,22 @@ from .auth import far_frr_sweep, load_acl, verify
 from .experiments import ExperimentConfig, reproduce
 from .music import DEFAULT_GRID_STEP, DegenerateSpectrumError, estimate_aoa, pseudospectrum, sample_covariance
 
-OUTPUT_DIR_ENV = "AOA_PLA_OUT"
-
-# closed schema for config files; `reproduce` reads these keys and rejects
-# any other by name, so no key is accepted and then ignored
-CONFIG_SCHEMA = {
-    "experiment.seed": int,
-    "experiment.output_dir": str,
-}
-
-
-class ConfigError(ValueError):
-    pass
-
 
 def _parse_angle(text):
-    """Radians by default; a `deg` suffix converts from degrees."""
+    """A finite angle: radians by default; a `deg` suffix converts from degrees."""
     text = text.strip()
     if text.endswith("deg"):
-        return math.radians(float(text[: -len("deg")].strip()))
-    return float(text)
+        value = math.radians(float(text[: -len("deg")].strip()))
+    else:
+        value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite angle {text!r}")
+    return value
 
 
-def _convert(key, raw):
-    try:
-        return CONFIG_SCHEMA[key](raw.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
-
-
-def load_config(path):
-    """Flat `key = value` file with `[section]` headers; closed schema."""
-    values = {}
-    section = ""
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected `key = value`, got {line!r}")
-        key, raw = (part.strip() for part in line.split("=", 1))
-        full = f"{section}.{key}" if section else key
-        if full not in CONFIG_SCHEMA:
-            raise ConfigError(f"{path}:{lineno}: unknown configuration key {full!r}")
-        values[full] = _convert(full, raw)
-    return values
+def _parse_angles(text):
+    """Comma-separated `_parse_angle` values."""
+    return [_parse_angle(v) for v in text.split(",")]
 
 
 def write_signal_block(path, block):
@@ -146,25 +114,12 @@ def _synth_block(args):
 
 def _cmd_reproduce(args):
     overrides = {}
-    seed = args.seed
-    output_dir = args.out
-    if args.config:
-        cfg = load_config(args.config)
-        if "experiment.seed" in cfg and seed is None:
-            seed = cfg["experiment.seed"]
-        if "experiment.output_dir" in cfg and output_dir is None:
-            output_dir = cfg["experiment.output_dir"]
     for item in args.set or []:
         if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
+            raise ValueError(f"--set expects key=value, got {item!r}")
         key, raw = (part.strip() for part in item.split("=", 1))
         overrides[key] = _parse_override_value(key, raw)
-    config = ExperimentConfig(
-        figure_id=args.figure,
-        seed=0 if seed is None else seed,
-        overrides=overrides,
-        output_dir=output_dir or os.environ.get(OUTPUT_DIR_ENV, "."),
-    )
+    config = ExperimentConfig(figure_id=args.figure, seed=args.seed, overrides=overrides, output_dir=args.out)
     table, checks, csv_path, svg_path = reproduce(config)
     print(f"wrote {csv_path}")
     print(f"wrote {svg_path}")
@@ -190,10 +145,7 @@ def _parse_override_value(key, raw):
         try:
             return int(text)
         except ValueError:
-            value = _parse_angle(text)
-        if not math.isfinite(value):
-            raise ValueError(value)
-        return value
+            return _parse_angle(text)
 
     def items(text, sep):
         parts = text.split(sep)
@@ -208,7 +160,7 @@ def _parse_override_value(key, raw):
             return tuple(number(v) for v in items(raw, ","))
         return number(raw)
     except ValueError:
-        raise ConfigError(
+        raise ValueError(
             f"bad value for --set {key!r}: {raw!r} (expected a finite number, an angle with a "
             "`deg` suffix, a comma-separated tuple of them, or `;`-separated tuples)"
         ) from None
@@ -274,13 +226,12 @@ def _cmd_sweep_far_frr(args):
     geom = ArrayGeometry(args.num_antennas, args.spacing)
     noise = NoiseModel.from_db(args.snr_db)
     attacker = AttackerConfig.single(args.theta_hat, args.beta, args.phi)
-    thresholds = [float(v) for v in args.thresholds.split(",")]
     sweep = far_frr_sweep(
         geom,
         args.theta,
         attacker,
         noise,
-        thresholds,
+        args.thresholds,
         args.trials,
         args.seed,
         num_snapshots=args.snapshots,
@@ -301,9 +252,8 @@ def build_parser():
 
     p = sub.add_parser("reproduce", help="run a figure experiment, write CSV + SVG")
     p.add_argument("figure", help="figure id, e.g. fig3 or fig3d_same")
-    p.add_argument("--seed", type=int, default=None, help="default: the config file's seed, else 0")
-    p.add_argument("--out", default=None, help=f"output directory (default ${OUTPUT_DIR_ENV} or .)")
-    p.add_argument("--config", default=None, help="key = value configuration file")
+    p.add_argument("--seed", type=int, default=0, help="integer >= 0 (default: %(default)s)")
+    p.add_argument("--out", default=".", help="output directory (default: %(default)s)")
     p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a figure parameter")
     p.set_defaults(func=_cmd_reproduce)
 
@@ -337,7 +287,9 @@ def build_parser():
     p.add_argument("--theta-hat", type=_parse_angle, required=True)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--phi", type=_parse_angle, default=0.0)
-    p.add_argument("--thresholds", required=True, help="comma-separated thresholds in radians")
+    p.add_argument(
+        "--thresholds", type=_parse_angles, required=True, help="comma-separated thresholds in radians, or with `deg`"
+    )
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--grid-step", type=float, default=DEFAULT_GRID_STEP)
     _add_synth_flags(p)
@@ -351,7 +303,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError, DegenerateSpectrumError) as exc:
+    except (ValueError, OSError, DegenerateSpectrumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

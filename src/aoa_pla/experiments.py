@@ -59,6 +59,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.figure_id not in FIGURES:
             raise ValueError(f"unknown figure_id {self.figure_id!r}; expected one of {FIGURE_IDS}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         known = FIGURES[self.figure_id].defaults
         for key, value in self.overrides.items():
             if key not in known:

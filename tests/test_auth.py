@@ -164,6 +164,9 @@ def test_far_frr_validation():
         far_frr_sweep(geom, 0.4, attacker, noise, [], 10, 0)
     with pytest.raises(ValueError):
         far_frr_sweep(geom, 0.4, attacker, noise, [0.1], 0, 0)
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="threshold must be > 0"):
+            far_frr_sweep(geom, 0.4, attacker, noise, [0.05, bad], 10, 0)
 
 
 def test_acl_roundtrip_exact(tmp_path):
@@ -195,6 +198,8 @@ def test_acl_rejects_malformed_line(tmp_path):
         ("a,0.4,0.01,3\n\na,0.5,0.01,3\n", r":3: duplicate identity 'a'"),
         ("a,0.4,0.01,3\na,nan,0.01,3\n", r":2: .*non-finite angle nan"),
         ("a,0.4,inf,3\n", r":1: .*non-finite .* spread inf"),
+        ("a,0.4,0.01,3\nalice,0.4,-0.01,0\n", r":2: identity 'alice' has a negative spread -0.01"),
+        ("a,0.4,0.01,0\n", r":1: identity 'a' has an estimate count 0 below 1"),
         ("a,0.4,0.01,three\n", r":1: invalid literal"),
         ("a,north,0.01,3\n", r":1: could not convert"),
     ],
@@ -215,6 +220,8 @@ def test_acl_load_rejects_bad_entries_with_line(tmp_path, text, message):
         ([AoaProfile(" a", 0.4, 0.0, 1)], "whitespace"),
         ([AoaProfile("a", 0.4, 0.0, 1), AoaProfile("a", 0.5, 0.0, 1)], "duplicate identity 'a'"),
         ([AoaProfile("a", math.nan, 0.0, 1)], "non-finite angle nan"),
+        ([AoaProfile("a", 0.4, -0.01, 1)], "negative spread -0.01"),
+        ([AoaProfile("a", 0.4, 0.0, 0)], "estimate count 0 below 1"),
     ],
 )
 def test_acl_save_rejects_entries_load_cannot_read_back(tmp_path, profiles, message):

@@ -6,8 +6,6 @@ import pytest
 from aoa_pla.arrays import ArrayGeometry, NoiseModel, synthesize_legitimate
 from aoa_pla.auth import enroll, save_acl
 from aoa_pla.cli import (
-    ConfigError,
-    load_config,
     main,
     read_signal_block,
     write_signal_block,
@@ -20,38 +18,9 @@ def test_parse_angle_deg_suffix():
     assert _parse_angle("0.4") == 0.4
     assert _parse_angle("90 deg") == pytest.approx(math.pi / 2)
     assert _parse_angle("-45deg") == pytest.approx(-math.pi / 4)
-
-
-def test_load_config(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "# comment\n"
-        "[experiment]\n"
-        "seed = 3  # trailing comment\n"
-        "output_dir =  results/run 1 \n"
-    )
-    assert load_config(cfg) == {"experiment.seed": 3, "experiment.output_dir": "results/run 1"}
-
-
-def test_load_config_rejects_unknown_key(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("[array]\nnum_antennas = 16\n")
-    with pytest.raises(ConfigError, match="array.num_antennas"):
-        load_config(cfg)
-
-
-def test_load_config_rejects_bad_value(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("[experiment]\nseed = lots\n")
-    with pytest.raises(ConfigError, match="experiment.seed"):
-        load_config(cfg)
-
-
-def test_load_config_rejects_bare_line(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("just a line\n")
-    with pytest.raises(ConfigError, match="key = value"):
-        load_config(cfg)
+    for raw in ("nan", "inf", "-inf deg"):
+        with pytest.raises(ValueError, match="non-finite"):
+            _parse_angle(raw)
 
 
 def test_signal_block_roundtrip(tmp_path):
@@ -119,7 +88,7 @@ def test_parse_override_value():
     assert _parse_override_value("beta_pairs", " 0.5, 0.5 ; 0.3,0.3; ") == pairs
     assert _parse_override_value("beta_pairs", "0.5,0.5;") == ((0.5, 0.5),)
     for raw in ("twenty", "20 degrees", "nan", "inf", "1,x", "5,,", ",", "1;;2", "0.5,x;1,1"):
-        with pytest.raises(ConfigError, match="'theta'"):
+        with pytest.raises(ValueError, match="'theta'"):
             _parse_override_value("theta", raw)
 
 
@@ -140,13 +109,47 @@ def test_cli_reproduce_set_non_numeric_exits_2(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def test_cli_reproduce_explicit_seed_zero_overrides_config(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"[experiment]\nseed = 9\noutput_dir = {tmp_path}\n")
-    assert main(["reproduce", "fig5", "--config", str(cfg), "--seed", "0"]) == 0
+def test_cli_reproduce_default_seed_and_out(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["reproduce", "fig5"]) == 0
     capsys.readouterr()
-    assert (tmp_path / "fig5__0.csv").exists()
-    assert not (tmp_path / "fig5__9.csv").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fig5__0.csv", "fig5__0.svg"]
+
+
+def test_cli_reproduce_takes_only_seed_out_and_set(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "--help"])
+    assert exc.value.code == 0
+    help_text = capsys.readouterr().out
+    assert "--seed SEED" in help_text and "default: 0" in help_text
+    assert "--out OUT" in help_text and "default: ." in help_text
+    assert "--set KEY=VALUE" in help_text
+    assert "--config" not in help_text
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "fig5", "--config", "x"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config x" in capsys.readouterr().err
+
+
+def test_cli_reproduce_negative_seed_exits_2(tmp_path, capsys):
+    for figure in ("fig5", "fig3"):
+        rc = main(["reproduce", figure, "--out", str(tmp_path), "--seed", "-1"])
+        assert rc == 2
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_non_finite_angle_flag_exits_2(capsys):
+    for argv, flag in (
+        (["attack-opt", "--M", "16", "--theta", "nan", "--theta-hat", "0.2"], "--theta"),
+        (["attack-opt", "--M", "16", "--theta", "inf", "--theta-hat", "0.2"], "--theta"),
+        (["attack-opt", "--M", "16", "--theta", "0.4", "--theta-hat", "nan deg"], "--theta-hat"),
+        (["sweep-far-frr", "--theta-hat", "0.2", "--thresholds", "nan,0.05", "--trials", "2"], "--thresholds"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid" in capsys.readouterr().err
 
 
 def test_cli_attack_opt(capsys):
@@ -263,6 +266,15 @@ def test_cli_sweep_far_frr(capsys):
     assert len(out) == 3
 
 
+def test_cli_sweep_far_frr_non_positive_threshold_exits_2(capsys):
+    for thresholds in ("0.05,0", "0.05,-1"):
+        rc = main(["sweep-far-frr", "--theta-hat", "0.2", "--thresholds", thresholds, "--trials", "2"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "threshold must be > 0" in captured.err
+        assert captured.out == ""
+
+
 def test_cli_reproduce(tmp_path, capsys):
     rc = main(
         [
@@ -281,14 +293,6 @@ def test_cli_reproduce(tmp_path, capsys):
     assert "[PASS]" in out
 
 
-def test_cli_reproduce_env_default_out(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("AOA_PLA_OUT", str(tmp_path))
-    rc = main(["reproduce", "fig5", "--seed", "5"])
-    capsys.readouterr()
-    assert rc == 0
-    assert (tmp_path / "fig5__5.csv").exists()
-
-
 def test_cli_reproduce_with_overrides_and_bad_key(tmp_path, capsys):
     rc = main(
         ["reproduce", "fig3", "--out", str(tmp_path), "--set", "phi_points=5", "--set", "trials=3000"]
@@ -299,15 +303,6 @@ def test_cli_reproduce_with_overrides_and_bad_key(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "bogus" in err
-
-
-def test_cli_reproduce_config_file(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"[experiment]\nseed = 9\noutput_dir = {tmp_path}\n")
-    rc = main(["reproduce", "fig5", "--config", str(cfg)])
-    capsys.readouterr()
-    assert rc == 0
-    assert (tmp_path / "fig5__9.csv").exists()
 
 
 def test_cli_reproduce_rejects_override_of_wrong_shape(tmp_path, capsys):
@@ -402,13 +397,3 @@ def test_cli_reproduce_integer_overrides_print_as_floats(tmp_path, capsys):
     lines = (tmp_path / "fig3__0.csv").read_text().splitlines()
     header = lines.index("phi0_rad,beta0,beta1,zeta_theory,zeta_sim,zeta_sim_stderr")
     assert [row.split(",")[1:3] for row in lines[header + 1 :]] == [["1.0", "0.0"]] * 5
-
-
-def test_cli_reproduce_config_key_it_does_not_read_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("[experiment]\nseed = 1\n[array]\nnum_elements = 4\n")
-    rc = main(["reproduce", "fig5", "--out", str(tmp_path), "--config", str(cfg)])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert f"{cfg}:4: unknown configuration key 'array.num_elements'" in err
-    assert not list(tmp_path.glob("fig5__*"))

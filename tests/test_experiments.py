@@ -41,6 +41,14 @@ def test_config_rejects_unknown_override():
         ExperimentConfig("fig5", overrides={"bogus": 1})
 
 
+@pytest.mark.parametrize("figure_id", FIGURE_IDS)
+def test_config_seed_is_an_integer_at_least_zero(figure_id):
+    for seed in (-1, 0.5, "0", None):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            ExperimentConfig(figure_id, seed=seed)
+    assert ExperimentConfig(figure_id, seed=np.int64(7)).seed == 7
+
+
 @pytest.mark.parametrize(
     "figure_id, key, value",
     [
