@@ -70,9 +70,10 @@ class NoiseModel:
 
     @classmethod
     def from_db(cls, legit_db, attacker_db=None):
+        """SNRs in dB; `+inf` is a noiseless link, and a value past a float's range raises ValueError."""
         if attacker_db is None:
             attacker_db = legit_db
-        return cls(10.0 ** (legit_db / 10.0), 10.0 ** (attacker_db / 10.0))
+        return cls(_db_to_linear(legit_db), _db_to_linear(attacker_db))
 
     @classmethod
     def noiseless(cls):
@@ -82,6 +83,14 @@ class NoiseModel:
     def floor(self):
         """1/snr_legit + 1/snr_attacker, the provable MSE lower bound."""
         return 1.0 / self.snr_legit + 1.0 / self.snr_attacker
+
+
+def _db_to_linear(db):
+    db = float(db)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValueError(f"SNR of {db!r} dB is out of a float's range") from None
 
 
 @dataclass(frozen=True)

@@ -136,6 +136,9 @@ def far_frr_sweep(
 
 def _check_acl_entry(profile, known):
     """Raise ValueError if `profile` cannot join an ACL that already holds `known` identities."""
+    ident = profile.identity
+    if "," in ident or "".join(ident.splitlines()) != ident or ident != ident.strip():
+        raise ValueError(f"identity {ident!r} contains a comma, a line break or surrounding whitespace")
     if not (math.isfinite(profile.enrolled_angle) and math.isfinite(profile.enrollment_spread)):
         raise ValueError(
             f"identity {profile.identity!r} has a non-finite angle {profile.enrolled_angle!r} "
@@ -162,24 +165,21 @@ def save_acl(path, profiles):
     known = set()
     lines = []
     for p in profiles:
-        ident = p.identity
         try:
-            if "," in ident or "".join(ident.splitlines()) != ident or ident != ident.strip():
-                raise ValueError(f"identity {ident!r} contains a comma, a line break or surrounding whitespace")
             _check_acl_entry(p, known)
         except ValueError as exc:
             raise ValueError(f"cannot save ACL to {path}: {exc}") from None
-        known.add(ident)
-        lines.append(f"{ident},{p.enrolled_angle!r},{p.enrollment_spread!r},{p.num_enrollment_estimates}")
+        known.add(p.identity)
+        lines.append(f"{p.identity},{p.enrolled_angle!r},{p.enrollment_spread!r},{p.num_enrollment_estimates}")
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
 def load_acl(path):
     """Read an access control list back into {identity: AoaProfile}.
 
-    A malformed line, a non-finite angle or spread, a negative spread, a
-    count below 1 and a repeated identity raise ValueError naming
-    `path:line`.
+    A malformed line, an identity with surrounding whitespace, a
+    non-finite angle or spread, a negative spread, a count below 1 and a
+    repeated identity raise ValueError naming `path:line`.
     """
     profiles = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):

@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Subcommands: `reproduce <fig>`, `attack-opt`, `music`, `verify`,
+Subcommands: `reproduce <fig>`, `attack-opt`, `synth`, `music`, `verify`,
 `sweep-far-frr`. Exit status is 0 on success; `verify` uses 0 = accept,
 1 = reject, 2 = error. `reproduce` takes its seed from `--seed`
 (default 0), its output directory from `--out` (default `.`) and figure
-parameters from `--set`.
+parameters from `--set`. `synth --out FILE` writes a signal block (from
+`--theta`, or an attack from `--theta-hat`); `music` and `verify` read one
+from `--input`.
 """
 
 from __future__ import annotations
@@ -89,27 +91,24 @@ def read_signal_block(path):
     return SignalBlock(samples)
 
 
-def _add_synth_flags(parser, with_attack=False):
+def _parse_seed(text):
+    """An integer >= 0, the seed rule `reproduce` applies."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text}")
+    return int(text)
+
+
+def _add_synth_flags(parser, angles):
+    """Synthesis flags. `--theta`, `--theta-hat` go into `angles`: `parser` (hat required) or an exclusive group."""
     parser.add_argument("--num-antennas", "--M", dest="num_antennas", type=int, default=16)
     parser.add_argument("--spacing", type=float, default=0.5, help="element spacing in wavelengths")
-    parser.add_argument("--theta", type=_parse_angle, default=0.4)
+    angles.add_argument("--theta", type=_parse_angle, default=0.4)
+    angles.add_argument("--theta-hat", type=_parse_angle, required=angles is parser, help="attack from this angle")
+    parser.add_argument("--beta", type=float, default=1.0)
+    parser.add_argument("--phi", type=_parse_angle, default=0.0)
     parser.add_argument("--snr-db", type=float, default=15.0)
     parser.add_argument("--snapshots", type=int, default=2000)
-    parser.add_argument("--seed", type=int, default=0)
-    if with_attack:
-        parser.add_argument("--theta-hat", type=_parse_angle, default=None, help="attack from this angle")
-        parser.add_argument("--beta", type=float, default=1.0)
-        parser.add_argument("--phi", type=_parse_angle, default=0.0)
-
-
-def _synth_block(args):
-    geom = ArrayGeometry(args.num_antennas, args.spacing)
-    noise = NoiseModel.from_db(args.snr_db)
-    theta_hat = getattr(args, "theta_hat", None)
-    if theta_hat is not None:
-        attacker = AttackerConfig.single(theta_hat, args.beta, args.phi)
-        return geom, synthesize_attack(geom, attacker, noise, args.snapshots, args.seed)
-    return geom, synthesize_legitimate(geom, args.theta, noise, args.snapshots, args.seed)
+    parser.add_argument("--seed", type=_parse_seed, default=0, help="integer >= 0 (default: %(default)s)")
 
 
 def _cmd_reproduce(args):
@@ -182,12 +181,24 @@ def _cmd_attack_opt(args):
     return 0
 
 
-def _cmd_music(args):
-    if args.input:
-        block = read_signal_block(args.input)
-        geom = ArrayGeometry(block.num_elements, args.spacing)
+def _cmd_synth(args):
+    geom = ArrayGeometry(args.num_antennas, args.spacing)
+    noise = NoiseModel.from_db(args.snr_db)
+    if args.theta_hat is not None:
+        attacker = AttackerConfig.single(args.theta_hat, args.beta, args.phi)
+        block = synthesize_attack(geom, attacker, noise, args.snapshots, args.seed)
+    elif (args.beta, args.phi) != (1.0, 0.0):
+        raise ValueError("--beta and --phi set the attack precoder; they need --theta-hat")
     else:
-        geom, block = _synth_block(args)
+        block = synthesize_legitimate(geom, args.theta, noise, args.snapshots, args.seed)
+    write_signal_block(args.out, block)
+    print(f"wrote {args.out}")
+    return 0
+
+
+def _cmd_music(args):
+    block = read_signal_block(args.input)
+    geom = ArrayGeometry(block.num_elements, args.spacing)
     estimates = estimate_aoa(block, geom, args.num_sources, args.grid_step)
     for angle in estimates:
         print(f"estimated AoA: {angle!r} rad")
@@ -203,15 +214,10 @@ def _cmd_music(args):
 def _cmd_verify(args):
     acl = load_acl(args.acl)
     if args.identity not in acl:
-        print(f"error: identity {args.identity!r} not in {args.acl}", file=sys.stderr)
-        return 2
-    profile = acl[args.identity]
-    if args.input:
-        block = read_signal_block(args.input)
-        geom = ArrayGeometry(block.num_elements, args.spacing)
-    else:
-        geom, block = _synth_block(args)
-    decision = verify(profile, block, geom, args.threshold, args.grid_step)
+        raise ValueError(f"identity {args.identity!r} not in {args.acl}")
+    block = read_signal_block(args.input)
+    geom = ArrayGeometry(block.num_elements, args.spacing)
+    decision = verify(acl[args.identity], block, geom, args.threshold, args.grid_step)
     verdict = "ACCEPT" if decision.accepted else "REJECT"
     print(
         f"{verdict}: measured {decision.measured_angle!r} rad, "
@@ -266,33 +272,35 @@ def build_parser():
     p.add_argument("--snr-eve-db", type=float, default=15.0)
     p.set_defaults(func=_cmd_attack_opt)
 
-    p = sub.add_parser("music", help="estimate AoA from a file or a synthesized block")
-    p.add_argument("--input", default=None, help="signal block file (header `M N`)")
+    p = sub.add_parser("synth", help="write a synthesized signal block, legitimate or attack")
+    p.add_argument("--out", required=True, help="signal block file to write")
+    _add_synth_flags(p, p.add_mutually_exclusive_group())
+    p.set_defaults(func=_cmd_synth)
+
+    p = sub.add_parser("music", help="estimate AoA from a signal block file")
+    p.add_argument("--input", required=True, help="signal block file (header `M N`)")
+    p.add_argument("--spacing", type=float, default=0.5, help="element spacing in wavelengths")
     p.add_argument("--num-sources", type=int, default=1)
     p.add_argument("--grid-step", type=float, default=DEFAULT_GRID_STEP)
     p.add_argument("--spectrum-csv", default=None, help="also write the pseudospectrum")
-    _add_synth_flags(p, with_attack=True)
     p.set_defaults(func=_cmd_music)
 
-    p = sub.add_parser("verify", help="authenticate a block against an enrolled profile")
+    p = sub.add_parser("verify", help="authenticate a signal block file against an enrolled profile")
     p.add_argument("--acl", required=True, help="access control list file")
     p.add_argument("--identity", required=True)
     p.add_argument("--threshold", type=_parse_angle, required=True)
-    p.add_argument("--input", default=None, help="signal block file")
+    p.add_argument("--input", required=True, help="signal block file")
+    p.add_argument("--spacing", type=float, default=0.5, help="element spacing in wavelengths")
     p.add_argument("--grid-step", type=float, default=DEFAULT_GRID_STEP)
-    _add_synth_flags(p, with_attack=True)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sweep-far-frr", help="FAR/FRR over a threshold sweep")
-    p.add_argument("--theta-hat", type=_parse_angle, required=True)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--phi", type=_parse_angle, default=0.0)
     p.add_argument(
         "--thresholds", type=_parse_angles, required=True, help="comma-separated thresholds in radians, or with `deg`"
     )
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--grid-step", type=float, default=DEFAULT_GRID_STEP)
-    _add_synth_flags(p)
+    _add_synth_flags(p, p)
     p.set_defaults(func=_cmd_sweep_far_frr)
 
     return parser

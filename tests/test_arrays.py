@@ -58,6 +58,15 @@ def test_noise_model_from_db_and_floor():
     assert mixed.floor == pytest.approx(10.0 ** -1.5 + 10.0 ** -3.0, abs=1e-15)
 
 
+def test_noise_model_from_db_outside_float_range_raises_value_error():
+    cases = ((4000, None, "4000.0"), (15.0, 3083.0, "3083.0"), (np.float64(4000.0), None, "4000.0"))
+    for legit_db, attacker_db, shown in cases:
+        with pytest.raises(ValueError, match=rf"SNR of {shown} dB is out of a float's range"):
+            NoiseModel.from_db(legit_db, attacker_db)
+    assert NoiseModel.from_db(3082.0).snr_legit == 10.0 ** 308.2
+    assert NoiseModel.from_db(math.inf) == NoiseModel.noiseless()
+
+
 def test_noise_model_noiseless_floor_zero():
     noise = NoiseModel.noiseless()
     assert noise.floor == 0.0

@@ -202,6 +202,7 @@ def test_acl_rejects_malformed_line(tmp_path):
         ("a,0.4,0.01,0\n", r":1: identity 'a' has an estimate count 0 below 1"),
         ("a,0.4,0.01,three\n", r":1: invalid literal"),
         ("a,north,0.01,3\n", r":1: could not convert"),
+        ("alice ,0.4,0.01,5\n", r":1: identity 'alice ' contains a comma, a line break or surrounding whitespace"),
     ],
 )
 def test_acl_load_rejects_bad_entries_with_line(tmp_path, text, message):

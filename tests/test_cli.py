@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from aoa_pla.arrays import ArrayGeometry, NoiseModel, synthesize_legitimate
+from aoa_pla.arrays import ArrayGeometry, AttackerConfig, NoiseModel, synthesize_attack, synthesize_legitimate
 from aoa_pla.auth import enroll, save_acl
 from aoa_pla.cli import (
     main,
@@ -12,6 +13,12 @@ from aoa_pla.cli import (
     _parse_angle,
     _parse_override_value,
 )
+
+
+def _synth(path, *flags):
+    """Write a block with `aoa-pla synth`; return its path as a string."""
+    assert main(["synth", "--out", str(path), *flags]) == 0
+    return str(path)
 
 
 def test_parse_angle_deg_suffix():
@@ -191,26 +198,99 @@ def test_cli_reproduce_twice_identical_bytes(tmp_path, capsys):
     assert first == second
 
 
-def test_cli_music_synthesized(capsys):
-    rc = main(
-        [
-            "music",
-            "--num-antennas",
-            "16",
-            "--theta",
-            "0.3",
-            "--snr-db",
-            "15",
-            "--snapshots",
-            "500",
-            "--seed",
-            "1",
-        ]
-    )
+def test_cli_music_synthesized(tmp_path, capsys):
+    flags = ["--num-antennas", "16", "--theta", "0.3", "--snr-db", "15", "--snapshots", "500", "--seed", "1"]
+    blk = _synth(tmp_path / "blk.txt", *flags)
+    capsys.readouterr()
+    rc = main(["music", "--input", blk])
     out = capsys.readouterr().out
     assert rc == 0
     est = float(out.split()[2])
     assert est == pytest.approx(0.3, abs=0.01)
+
+
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        (["--theta", "0.3"], lambda geom, noise: synthesize_legitimate(geom, 0.3, noise, 40, 7)),
+        (
+            ["--theta-hat", "0.2", "--beta", "0.7", "--phi", "1.0"],
+            lambda geom, noise: synthesize_attack(geom, AttackerConfig.single(0.2, 0.7, 1.0), noise, 40, 7),
+        ),
+    ],
+    ids=["legitimate", "attack"],
+)
+def test_cli_synth_block_reads_back_bit_equal_to_the_library(tmp_path, capsys, flags, expected):
+    common = ["--M", "8", "--spacing", "0.4", "--snr-db", "5", "--snapshots", "40", "--seed", "7"]
+    blk = _synth(tmp_path / "blk.txt", *common, *flags)
+    assert capsys.readouterr().out == f"wrote {blk}\n"
+    block = expected(ArrayGeometry(8, 0.4), NoiseModel.from_db(5.0))
+    assert np.array_equal(read_signal_block(blk).samples, block.samples)
+
+
+def test_cli_synth_uses_every_flag_given(tmp_path, capsys):
+    out = tmp_path / "blk.txt"
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--out", str(out), "--theta", "0.3", "--theta-hat", "-0.5"])
+    assert exc.value.code == 2
+    assert "argument --theta-hat: not allowed with argument --theta" in capsys.readouterr().err
+    for flags in (["--beta", "7"], ["--phi", "2"], ["--theta", "0.3", "--beta", "7", "--phi", "2"]):
+        assert main(["synth", "--out", str(out), *flags]) == 2
+        assert "--beta and --phi set the attack precoder; they need --theta-hat" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_music_and_verify_read_only_block_files(capsys):
+    for argv in (
+        ["music", "--theta", "0.3"],
+        ["verify", "--acl", "acl.txt", "--identity", "alice", "--threshold", "0.05"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "the following arguments are required: --input" in capsys.readouterr().err
+    for command, flags in (
+        ("music", {"--input", "--spacing", "--num-sources", "--grid-step", "--spectrum-csv"}),
+        ("verify", {"--acl", "--identity", "--threshold", "--input", "--spacing", "--grid-step"}),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == flags | {"--help"}
+
+
+def test_cli_sweep_far_frr_requires_theta_hat(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-far-frr", "--thresholds", "0.1", "--trials", "2"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --theta-hat" in capsys.readouterr().err
+
+
+def test_cli_negative_seed_names_the_flag(tmp_path, capsys):
+    for argv in (
+        ["synth", "--out", str(tmp_path / "blk.txt")],
+        ["sweep-far-frr", "--theta-hat", "0.2", "--thresholds", "0.1", "--trials", "2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "-1"])
+        assert exc.value.code == 2
+        assert "argument --seed: seed must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_snr_db_outside_float_range_exits_2(tmp_path, capsys):
+    for argv in (
+        ["attack-opt", "--M", "16", "--theta", "0.4", "--theta-hat", "0.2", "--snr-eve-db", "4000"],
+        ["reproduce", "fig5", "--out", str(tmp_path), "--set", "snr_alice_db=4000"],
+        ["reproduce", "fig3", "--out", str(tmp_path), "--set", "snr_db=4000"],
+        ["synth", "--out", str(tmp_path / "blk.txt"), "--snr-db", "4000"],
+        ["sweep-far-frr", "--theta-hat", "0.2", "--thresholds", "0.1", "--trials", "2", "--snr-db", "4000"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error: SNR of 4000.0 dB is out of a float's range" in captured.err
+        assert captured.out == ""
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_music_from_file_with_spectrum(tmp_path, capsys):
@@ -229,13 +309,17 @@ def test_cli_music_from_file_with_spectrum(tmp_path, capsys):
 def test_cli_verify_exit_codes(tmp_path, capsys):
     acl = tmp_path / "acl.txt"
     save_acl(acl, [enroll("alice", [0.4])])
-    common = ["verify", "--acl", str(acl), "--threshold", "0.05", "--num-antennas", "16", "--snapshots", "500"]
-    assert main(common + ["--identity", "alice", "--theta", "0.4", "--seed", "1"]) == 0
+    flags = ["--num-antennas", "16", "--snapshots", "500", "--seed", "1"]
+    block = {theta: _synth(tmp_path / f"blk{theta}.txt", *flags, "--theta", theta) for theta in ("0.4", "0.6")}
+    capsys.readouterr()
+    common = ["verify", "--acl", str(acl), "--threshold", "0.05"]
+    assert main(common + ["--identity", "alice", "--input", block["0.4"]]) == 0
     assert "ACCEPT" in capsys.readouterr().out
-    assert main(common + ["--identity", "alice", "--theta", "0.6", "--seed", "1"]) == 1
+    assert main(common + ["--identity", "alice", "--input", block["0.6"]]) == 1
     assert "REJECT" in capsys.readouterr().out
-    assert main(common + ["--identity", "mallory", "--theta", "0.4", "--seed", "1"]) == 2
-    assert main(["verify", "--acl", str(tmp_path / "none.txt"), "--identity", "a", "--threshold", "0.05"]) == 2
+    assert main(common + ["--identity", "mallory", "--input", block["0.4"]]) == 2
+    none = str(tmp_path / "none.txt")
+    assert main(["verify", "--acl", none, "--identity", "a", "--threshold", "0.05", "--input", block["0.4"]]) == 2
 
 
 def test_cli_sweep_far_frr(capsys):
@@ -341,9 +425,11 @@ def test_cli_reproduce_bad_figure_parameter_exits_2(tmp_path, capsys, figure, it
 def test_cli_zero_grid_step_exits_2(tmp_path, capsys):
     acl = tmp_path / "acl.txt"
     save_acl(acl, [enroll("alice", [0.4])])
+    blk = _synth(tmp_path / "blk.txt", "--snapshots", "50")
+    capsys.readouterr()
     for argv in (
-        ["music", "--grid-step", "0"],
-        ["verify", "--acl", str(acl), "--identity", "alice", "--threshold", "0.05", "--grid-step", "0"],
+        ["music", "--input", blk, "--grid-step", "0"],
+        ["verify", "--acl", str(acl), "--identity", "alice", "--threshold", "0.05", "--input", blk, "--grid-step", "0"],
         ["sweep-far-frr", "--theta-hat", "0.3", "--thresholds", "0.1", "--trials", "2", "--grid-step", "0"],
     ):
         assert main(argv) == 2
