@@ -1,10 +1,10 @@
 """Uniform linear array geometry, steering vectors, and baseband signal synthesis.
 
-The receiver is a ULA of M elements spaced ``d`` wavelengths apart. A unit
-pilot impinging from angle theta produces the phase profile
-``exp(-1j * kappa * m * sin(theta))`` across elements, with
-``kappa = 2*pi*d/lambda``. Noise is circularly symmetric complex Gaussian,
-scaled so the expected total noise energy across the array equals ``1/snr``
+The receiver is a ULA of M elements spaced ``d`` wavelengths apart. A plane
+wave from angle theta has the phase profile ``exp(-1j*kappa*m*sin(theta))``,
+``kappa = 2*pi*d/lambda``; `steering_vector` alone builds it (the pilot, ``A q``
+and the MUSIC manifold). Noise is circularly symmetric complex Gaussian, scaled
+so the expected total noise energy across the array equals ``1/snr``
 (total-array SNR convention; per-element variance is ``1/(M*snr)``).
 """
 
@@ -70,7 +70,7 @@ class NoiseModel:
 
     @classmethod
     def from_db(cls, legit_db, attacker_db=None):
-        """SNRs in dB; `+inf` is a noiseless link, and a value past a float's range raises ValueError."""
+        """SNRs in dB; `+inf` is noiseless, and nan or a value whose snr or 1/snr overflows raises ValueError."""
         if attacker_db is None:
             attacker_db = legit_db
         return cls(_db_to_linear(legit_db), _db_to_linear(attacker_db))
@@ -88,9 +88,12 @@ class NoiseModel:
 def _db_to_linear(db):
     db = float(db)
     try:
-        return 10.0 ** (db / 10.0)
+        linear = 10.0 ** (db / 10.0)
     except OverflowError:
-        raise ValueError(f"SNR of {db!r} dB is out of a float's range") from None
+        linear = math.nan
+    if not (linear > 0 and 1.0 / linear < math.inf):
+        raise ValueError(f"SNR of {db!r} dB is out of a float's range")
+    return linear
 
 
 @dataclass(frozen=True)
@@ -165,21 +168,19 @@ class SignalBlock:
         return self.samples.shape[1]
 
 
-def steering_vector(geom, angle):
-    """Phase profile of a plane wave from `angle` across the array.
+def steering_vector(geom, angles):
+    """Phase profiles of plane waves from `angles` (any shape), shape `angles.shape + (M,)`.
 
     Element m is exp(-1j * kappa * m * sin(angle)); element 0 is 1.
     """
     m = np.arange(geom.num_elements)
-    return np.exp(-1j * geom.wavenumber_scale * m * math.sin(angle))
+    return np.exp(-1j * geom.wavenumber_scale * m * np.sin(np.asarray(angles, dtype=float))[..., None])
 
 
 def attack_wavefront(geom, attacker):
     """A q = sum_i q_i a(theta_hat_i), the attacker's noiseless array response."""
-    combined = np.zeros(geom.num_elements, dtype=complex)
-    for angle, q in zip(attacker.angles, attacker.precoders):
-        combined += q * steering_vector(geom, angle)
-    return combined
+    # initial=0.0 starts the sum from +0, as an accumulation loop does
+    return np.sum(attacker.precoders[:, None] * steering_vector(geom, attacker.angles), axis=0, initial=0.0)
 
 
 def _noise_block(rng, num_elements, num_snapshots, snr):

@@ -14,9 +14,8 @@ the attacker's L >= M steering vectors span C^M, a least-squares q solves
 A q = a and reaches delta = 0 with no angle aliased.
 
 `mse_delta` evaluates delta in the direct form, batched over sweep
-points. The paper's expanded form (`gram_matrix`,
-`two_antenna_coefficients`, `dirichlet_ratio`) is kept as closed forms
-that the tests check the direct form against.
+points. The paper's expanded form (`gram_matrix`, `dirichlet_ratio`) is
+kept as closed forms that the tests check the direct form against.
 """
 
 from __future__ import annotations
@@ -31,9 +30,7 @@ from .arrays import TWO_PI, attack_wavefront, steering_vector
 
 __all__ = [
     "MseBreakdown",
-    "AggregatePrecoder",
     "OptimalSinglePrecoder",
-    "TwoAntennaCoefficients",
     "OptimumCheck",
     "dirichlet_ratio",
     "mse_delta",
@@ -41,9 +38,7 @@ __all__ = [
     "mse_delta_single",
     "mse_gradient_single",
     "optimal_single_precoder",
-    "two_antenna_coefficients",
     "gram_matrix",
-    "aggregate_precoder",
     "multi_optimum_condition",
     "monte_carlo_mse",
 ]
@@ -64,14 +59,6 @@ class MseBreakdown:
 
 
 @dataclass(frozen=True)
-class AggregatePrecoder:
-    """Real and imaginary parts of the precoder sum."""
-
-    u: float
-    v: float
-
-
-@dataclass(frozen=True)
 class OptimalSinglePrecoder:
     beta_star: float
     phi_star: float
@@ -81,25 +68,15 @@ class OptimalSinglePrecoder:
 
 
 @dataclass(frozen=True)
-class TwoAntennaCoefficients:
-    """Inner-product coefficients of the two-antenna MSE expansion."""
-
-    b0: complex
-    b1: complex
-    c0: complex
-    c1: complex
-    d0: complex
-    d1: complex
-
-
-@dataclass(frozen=True)
 class OptimumCheck:
     satisfied: bool
     angles_aligned: bool
     precoder_sum_ok: bool
-    aggregate: AggregatePrecoder
+    aggregate: complex  # sum of the precoders
     detail: str
 
+
+_ALIAS_TOL = 1e-12
 
 # pi = _PI_HI + _PI_LO to ~1e-26; _PI_HI has 32 significant bits, so
 # k * _PI_HI is exact for |k| < 2**21 (element spacings below ~10**6 wavelengths)
@@ -126,13 +103,6 @@ def dirichlet_ratio(geom, alpha):
     if abs(s) < 1e-12:
         return sign * m * math.cos(m * y) / math.cos(y)
     return sign * math.sin(m * y) / s
-
-
-def _phased_sum(geom, gap):
-    """sum_{m=0}^{M-1} exp(1j*m*kappa*gap) in closed Dirichlet-phase form."""
-    ratio = dirichlet_ratio(geom, gap)
-    phase = 0.5 * (geom.num_elements - 1) * geom.wavenumber_scale * gap
-    return ratio * cmath.exp(1j * phase)
 
 
 def mse_delta_single(geom, theta, theta_hat, beta, phi):
@@ -183,41 +153,27 @@ def optimal_single_precoder(geom, theta, theta_hat, noise=None):
 
 
 def gram_matrix(geom, angles):
-    """G = A^H A for the stacked attacker steering vectors, entry-wise.
+    """G = A^H A for the stacked steering vectors of `angles`, entry-wise.
 
-    g_lz = sum_m exp(1j*m*kappa*(sin(theta_l) - sin(theta_z))); the
-    diagonal is exactly M.
+    g_lz = dirichlet_ratio(gap) * exp(1j*(M-1)*kappa*gap/2) with gap = sin(theta_l) - sin(theta_z);
+    the diagonal is exactly M and g_zl = conj(g_lz) exactly. At (theta, theta_hat0, theta_hat1) the
+    two-antenna coefficients b0, b1, d1 are [0,1], [0,2], [1,2], and c0, c1, d0 the transposed entries.
     """
     angles = list(angles)
     if len(angles) < 1:
         raise ValueError("need at least one angle")
     sines = [math.sin(a) for a in angles]
     size = len(angles)
+    half_phase = 0.5 * (geom.num_elements - 1) * geom.wavenumber_scale
     g = np.empty((size, size), dtype=complex)
     for l in range(size):
         g[l, l] = geom.num_elements
         for z in range(l + 1, size):
-            entry = _phased_sum(geom, sines[l] - sines[z])
+            gap = sines[l] - sines[z]
+            entry = dirichlet_ratio(geom, gap) * cmath.exp(1j * (half_phase * gap))
             g[l, z] = entry
             g[z, l] = entry.conjugate()
     return g
-
-
-def two_antenna_coefficients(geom, theta, theta_hat0, theta_hat1):
-    """Coefficients b0, b1, c0, c1, d0, d1 of the two-antenna MSE.
-
-    b_i = a(theta)^H a(theta_hat_i), c_i = conj(b_i);
-    d1 = a(theta_hat0)^H a(theta_hat1), d0 = conj(d1).
-    """
-    s = math.sin(theta)
-    s0 = math.sin(theta_hat0)
-    s1 = math.sin(theta_hat1)
-    b0 = _phased_sum(geom, s - s0)
-    b1 = _phased_sum(geom, s - s1)
-    d1 = _phased_sum(geom, s0 - s1)
-    return TwoAntennaCoefficients(
-        b0=b0, b1=b1, c0=b0.conjugate(), c1=b1.conjugate(), d0=d1.conjugate(), d1=d1
-    )
 
 
 def mse_delta(geom, theta, angles, precoders):
@@ -226,7 +182,8 @@ def mse_delta(geom, theta, angles, precoders):
     `theta` has shape S; `angles` and `precoders` have shape S + (L,), or
     any shape whose leading axes broadcast against S, e.g. (L,) when one
     attacker is shared by the whole sweep. Returns an array of the
-    broadcast shape S. The sum runs over the M array elements one at a
+    broadcast shape S. Besides `arrays.steering_vector`, this is the one
+    place that writes the phase law: it runs over the M elements one at a
     time, so memory stays at a few arrays of the sweep's size.
     """
     s = np.sin(np.asarray(theta, dtype=float))
@@ -250,31 +207,26 @@ def mse_closed_form(geom, theta, attacker, noise):
     return MseBreakdown(zeta=delta + floor, delta=delta, noise_floor=floor, alpha=alpha)
 
 
-def aggregate_precoder(attacker):
-    total = complex(np.sum(attacker.precoders))
-    return AggregatePrecoder(u=total.real, v=total.imag)
-
-
-def multi_optimum_condition(attacker, theta, tol=1e-12):
+def multi_optimum_condition(attacker, theta):
     """Whether the attacker meets the aliasing condition for the noise-floor MSE.
 
-    The condition is sin(theta_hat_i) = sin(theta) for every antenna and an
-    aggregate precoder of exactly 1 + 0j, both within `tol`. It is
+    The condition is sin(theta_hat_i) = sin(theta) for every antenna and a
+    precoder sum of exactly 1 + 0j, both within `_ALIAS_TOL`. It is
     sufficient, not necessary: an attacker whose steering vectors span C^M
     can reach delta = 0 with no angle aliased, and then `satisfied` is
     False.
     """
     target = math.sin(theta)
     worst_gap = max(abs(math.sin(a) - target) for a in attacker.angles)
-    angles_ok = worst_gap <= tol
-    agg = aggregate_precoder(attacker)
-    precoder_ok = abs(agg.u - 1.0) <= tol and abs(agg.v) <= tol
+    angles_ok = worst_gap <= _ALIAS_TOL
+    agg = complex(np.sum(attacker.precoders))
+    precoder_ok = abs(agg.real - 1.0) <= _ALIAS_TOL and abs(agg.imag) <= _ALIAS_TOL
     if angles_ok and precoder_ok:
         detail = "noise-floor optimum conditions satisfied"
     elif not angles_ok:
         detail = f"angle condition fails: max |sin(theta_hat) - sin(theta)| = {worst_gap:.3e}"
     else:
-        detail = f"precoder condition fails: sum q = {agg.u:.12g} + {agg.v:.12g}j != 1"
+        detail = f"precoder condition fails: sum q = {agg.real:.12g} + {agg.imag:.12g}j != 1"
     return OptimumCheck(
         satisfied=angles_ok and precoder_ok,
         angles_aligned=angles_ok,

@@ -137,6 +137,8 @@ def far_frr_sweep(
 def _check_acl_entry(profile, known):
     """Raise ValueError if `profile` cannot join an ACL that already holds `known` identities."""
     ident = profile.identity
+    if not ident:
+        raise ValueError("empty identity")
     if "," in ident or "".join(ident.splitlines()) != ident or ident != ident.strip():
         raise ValueError(f"identity {ident!r} contains a comma, a line break or surrounding whitespace")
     if not (math.isfinite(profile.enrolled_angle) and math.isfinite(profile.enrollment_spread)):
@@ -158,8 +160,8 @@ def save_acl(path, profiles):
     """Write profiles as `identity,angle,spread,count` lines (repr precision).
 
     Raises ValueError, writing nothing, for a profile that `load_acl`
-    would reject or read back differently: an identity containing a comma,
-    a line break or surrounding whitespace, a repeated identity, a
+    would reject or read back differently: an empty identity, one with a
+    comma, a line break or surrounding whitespace, a repeated identity, a
     non-finite angle or spread, a negative spread, or a count below 1.
     """
     known = set()
@@ -177,7 +179,7 @@ def save_acl(path, profiles):
 def load_acl(path):
     """Read an access control list back into {identity: AoaProfile}.
 
-    A malformed line, an identity with surrounding whitespace, a
+    A malformed line, an empty identity or one with surrounding whitespace, a
     non-finite angle or spread, a negative spread, a count below 1 and a
     repeated identity raise ValueError naming `path:line`.
     """

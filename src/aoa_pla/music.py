@@ -8,7 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arrays import steering_vector
+
 DEFAULT_GRID_STEP = 0.001
+_HERMITIAN_TOL = 1e-12
 
 
 class DegenerateSpectrumError(RuntimeError):
@@ -28,20 +31,20 @@ def sample_covariance(block):
     return (x @ x.conj().T) / n
 
 
-def hermitian_eig(mat, tol=1e-12):
+def hermitian_eig(mat):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues ascending, eigenvectors as orthonormal columns).
-    Rejects inputs whose Hermitian defect exceeds `tol` relative to the
-    largest entry magnitude.
+    Rejects inputs whose Hermitian defect exceeds `_HERMITIAN_TOL` relative
+    to the largest entry magnitude.
     """
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     scale = max(1.0, float(np.max(np.abs(mat))))
     defect = float(np.max(np.abs(mat - mat.conj().T)))
-    if defect > tol * scale:
-        raise NonHermitianError(f"Hermitian defect {defect:.3e} exceeds tolerance {tol * scale:.3e}")
+    if defect > _HERMITIAN_TOL * scale:
+        raise NonHermitianError(f"Hermitian defect {defect:.3e} exceeds tolerance {_HERMITIAN_TOL * scale:.3e}")
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
@@ -78,13 +81,12 @@ def _angle_grid(step, half_width):
 def _manifold(geom, grid_step):
     """Angle grid and the M x grid steering manifold, built once per (geometry, step).
 
-    `ArrayGeometry` hashes and compares by (num_elements, spacing), so the
-    key is (M, spacing, grid_step). Both arrays are shared by every later
-    call with the same key, so they are returned read-only.
+    Column g is `steering_vector(geom, grid[g])` bit for bit. `ArrayGeometry`
+    hashes and compares by (num_elements, spacing), so the key is
+    (M, spacing, grid_step). Both arrays are shared, so they are read-only.
     """
     grid = _angle_grid(grid_step, math.pi / 2)
-    m = np.arange(geom.num_elements)
-    manifold = np.exp(-1j * geom.wavenumber_scale * np.outer(m, np.sin(grid)))
+    manifold = np.ascontiguousarray(steering_vector(geom, grid).T)
     grid.setflags(write=False)
     manifold.setflags(write=False)
     return grid, manifold

@@ -29,7 +29,6 @@ from aoa_pla.attack import (
     mse_delta_single,
     mse_gradient_single,
     optimal_single_precoder,
-    two_antenna_coefficients,
 )
 from aoa_pla.auth import far_frr_sweep
 from aoa_pla.experiments import ExperimentConfig, reproduce, run_figure
@@ -280,16 +279,17 @@ def test_criterion_8_dirichlet_and_appendix_oracles():
         m = int(rng.integers(2, 33))
         geom = ArrayGeometry(m)
         theta, th0, th1 = rng.uniform(-math.pi / 2, math.pi / 2, size=3)
-        coef = two_antenna_coefficients(geom, theta, th0, th1)
+        # the two-antenna coefficients b0, b1, d1, c0 are Gram entries
+        coef = gram_matrix(geom, (theta, th0, th1))
         a = steering_vector(geom, theta)
         a0 = steering_vector(geom, th0)
         a1 = steering_vector(geom, th1)
         worst_inner = max(
             worst_inner,
-            abs(coef.b0 - np.vdot(a, a0)),
-            abs(coef.b1 - np.vdot(a, a1)),
-            abs(coef.d1 - np.vdot(a0, a1)),
-            abs(coef.c0 - np.vdot(a0, a)),
+            abs(coef[0, 1] - np.vdot(a, a0)),
+            abs(coef[0, 2] - np.vdot(a, a1)),
+            abs(coef[1, 2] - np.vdot(a0, a1)),
+            abs(coef[1, 0] - np.vdot(a0, a)),
         )
         angles = rng.uniform(-math.pi, math.pi, size=int(rng.integers(1, 5)))
         g = gram_matrix(geom, angles)

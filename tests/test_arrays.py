@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from aoa_pla.arrays import (
     ArrayGeometry,
     AttackerConfig,
     NoiseModel,
     SignalBlock,
+    attack_wavefront,
     derive_rng,
     steering_vector,
     synthesize_attack,
@@ -39,6 +43,51 @@ def test_steering_vector_respects_spacing():
     assert np.allclose(a, expected, atol=1e-15)
 
 
+def _bits(x):
+    return np.asarray(x, dtype=complex).view(np.uint64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 33),
+    st.floats(0.1, 2.0),
+    hnp.arrays(float, st.sampled_from([(), (1,), (7,), (1, 1), (3, 5)]), elements=st.floats(-math.pi, math.pi)),
+)
+def test_batched_steering_vector_bit_equal_to_stacked_scalar_calls(m, spacing, angles):
+    geom = ArrayGeometry(m, spacing)
+    got = steering_vector(geom, angles)
+    assert got.shape == angles.shape + (m,)
+    stacked = np.array([steering_vector(geom, float(a)) for a in angles.ravel()]).reshape(angles.shape + (m,))
+    assert np.array_equal(_bits(got), _bits(stacked))
+
+
+def _wavefront_loop(geom, attacker):
+    """A q accumulated one antenna at a time, the reference for `attack_wavefront`."""
+    combined = np.zeros(geom.num_elements, dtype=complex)
+    for angle, q in zip(attacker.angles, attacker.precoders):
+        combined += q * steering_vector(geom, angle)
+    return combined
+
+
+@st.composite
+def _attackers(draw):
+    size = draw(st.one_of(st.just(1), st.just(32), st.integers(2, 31)))
+    angles = draw(st.lists(st.floats(-1.5, 1.5), min_size=size, max_size=size))
+    # one of the two amplitude strategies is exactly zero, so zero precoders (and signed zeros) occur
+    betas = draw(st.lists(st.just(0.0) | st.floats(0.0, 2.0), min_size=size, max_size=size))
+    phis = draw(st.lists(st.floats(0.0, 7.0), min_size=size, max_size=size))
+    return AttackerConfig(angles, betas, phis)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 33), st.floats(0.1, 2.0), _attackers())
+@example(5, 0.5, AttackerConfig((0.3,), (0.0,), (2.0,)))
+@example(5, 0.5, AttackerConfig((0.3,) * 32, (0.0,) * 32, (2.0,) * 32))
+def test_attack_wavefront_bit_equal_to_per_antenna_loop(m, spacing, attacker):
+    geom = ArrayGeometry(m, spacing)
+    assert np.array_equal(_bits(attack_wavefront(geom, attacker)), _bits(_wavefront_loop(geom, attacker)))
+
+
 def test_geometry_validation():
     with pytest.raises(ValueError):
         ArrayGeometry(1)
@@ -59,12 +108,18 @@ def test_noise_model_from_db_and_floor():
 
 
 def test_noise_model_from_db_outside_float_range_raises_value_error():
-    cases = ((4000, None, "4000.0"), (15.0, 3083.0, "3083.0"), (np.float64(4000.0), None, "4000.0"))
+    # past +3082.5 dB the SNR overflows; far below -3082 dB it underflows to 0, or to a
+    # subnormal whose noise power 1/snr overflows; -inf gives 0 and nan gives nan
+    cases = (
+        (4000, None, "4000.0"), (15.0, 3083.0, "3083.0"), (np.float64(4000.0), None, "4000.0"),
+        (-4000, None, "-4000.0"), (15.0, -math.inf, "-inf"), (math.nan, None, "nan"), (-3090.0, 15.0, "-3090.0"),
+    )
     for legit_db, attacker_db, shown in cases:
         with pytest.raises(ValueError, match=rf"SNR of {shown} dB is out of a float's range"):
             NoiseModel.from_db(legit_db, attacker_db)
     assert NoiseModel.from_db(3082.0).snr_legit == 10.0 ** 308.2
     assert NoiseModel.from_db(math.inf) == NoiseModel.noiseless()
+    assert math.isfinite(1.0 / NoiseModel.from_db(-3082.0).snr_legit)
 
 
 def test_noise_model_noiseless_floor_zero():

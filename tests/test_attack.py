@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from aoa_pla.arrays import ArrayGeometry, AttackerConfig, NoiseModel, steering_vector
 from aoa_pla.attack import (
-    aggregate_precoder,
     dirichlet_ratio,
     gram_matrix,
     monte_carlo_mse,
@@ -18,7 +17,6 @@ from aoa_pla.attack import (
     mse_gradient_single,
     multi_optimum_condition,
     optimal_single_precoder,
-    two_antenna_coefficients,
 )
 
 
@@ -181,16 +179,19 @@ def test_two_antenna_coefficients_match_inner_products():
         m = int(rng.integers(2, 25))
         geom = ArrayGeometry(m)
         theta, th0, th1 = rng.uniform(-math.pi / 2, math.pi / 2, size=3)
-        coef = two_antenna_coefficients(geom, theta, th0, th1)
+        # b0, b1, d1 and their conjugates c0, c1, d0 are Gram entries
+        g = gram_matrix(geom, (theta, th0, th1))
+        b0, b1, d1 = g[0, 1], g[0, 2], g[1, 2]
+        c0, c1, d0 = g[1, 0], g[2, 0], g[2, 1]
         a = steering_vector(geom, theta)
         a0 = steering_vector(geom, th0)
         a1 = steering_vector(geom, th1)
-        assert abs(coef.b0 - np.vdot(a, a0)) <= 1e-10
-        assert abs(coef.b1 - np.vdot(a, a1)) <= 1e-10
-        assert abs(coef.d1 - np.vdot(a0, a1)) <= 1e-10
-        assert coef.c0 == coef.b0.conjugate()
-        assert coef.c1 == coef.b1.conjugate()
-        assert coef.d0 == coef.d1.conjugate()
+        assert abs(b0 - np.vdot(a, a0)) <= 1e-10
+        assert abs(b1 - np.vdot(a, a1)) <= 1e-10
+        assert abs(d1 - np.vdot(a0, a1)) <= 1e-10
+        assert c0 == b0.conjugate()
+        assert c1 == b1.conjugate()
+        assert d0 == d1.conjugate()
 
 
 def test_closed_form_matches_brute_force_multi():
@@ -279,10 +280,9 @@ def test_closed_form_single_reduction():
 
 def test_aggregate_precoder_and_optimum_condition():
     att = AttackerConfig((0.4, math.pi - 0.4), (0.5, 0.5), (0.0, 0.0))
-    agg = aggregate_precoder(att)
-    assert agg.u == pytest.approx(1.0, abs=1e-15)
-    assert agg.v == pytest.approx(0.0, abs=1e-15)
     check = multi_optimum_condition(att, 0.4)
+    assert check.aggregate.real == pytest.approx(1.0, abs=1e-15)
+    assert check.aggregate.imag == pytest.approx(0.0, abs=1e-15)
     assert check.satisfied and check.angles_aligned and check.precoder_sum_ok
 
     off_angle = multi_optimum_condition(AttackerConfig.single(0.3), 0.4)

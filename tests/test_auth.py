@@ -203,6 +203,7 @@ def test_acl_rejects_malformed_line(tmp_path):
         ("a,0.4,0.01,three\n", r":1: invalid literal"),
         ("a,north,0.01,3\n", r":1: could not convert"),
         ("alice ,0.4,0.01,5\n", r":1: identity 'alice ' contains a comma, a line break or surrounding whitespace"),
+        ("a,0.4,0.01,3\n,0.4,0.01,5\n", r":2: empty identity"),
     ],
 )
 def test_acl_load_rejects_bad_entries_with_line(tmp_path, text, message):
@@ -223,6 +224,7 @@ def test_acl_load_rejects_bad_entries_with_line(tmp_path, text, message):
         ([AoaProfile("a", math.nan, 0.0, 1)], "non-finite angle nan"),
         ([AoaProfile("a", 0.4, -0.01, 1)], "negative spread -0.01"),
         ([AoaProfile("a", 0.4, 0.0, 0)], "estimate count 0 below 1"),
+        ([AoaProfile("", 0.4, 0.01, 5)], "empty identity"),
     ],
 )
 def test_acl_save_rejects_entries_load_cannot_read_back(tmp_path, profiles, message):

@@ -279,16 +279,22 @@ def test_cli_negative_seed_names_the_flag(tmp_path, capsys):
 
 
 def test_cli_snr_db_outside_float_range_exits_2(tmp_path, capsys):
-    for argv in (
-        ["attack-opt", "--M", "16", "--theta", "0.4", "--theta-hat", "0.2", "--snr-eve-db", "4000"],
-        ["reproduce", "fig5", "--out", str(tmp_path), "--set", "snr_alice_db=4000"],
-        ["reproduce", "fig3", "--out", str(tmp_path), "--set", "snr_db=4000"],
-        ["synth", "--out", str(tmp_path / "blk.txt"), "--snr-db", "4000"],
-        ["sweep-far-frr", "--theta-hat", "0.2", "--thresholds", "0.1", "--trials", "2", "--snr-db", "4000"],
+    for argv, shown in (
+        (["attack-opt", "--M", "16", "--theta", "0.4", "--theta-hat", "0.2", "--snr-eve-db", "4000"], "4000.0"),
+        (["reproduce", "fig5", "--out", str(tmp_path), "--set", "snr_alice_db=4000"], "4000.0"),
+        (["reproduce", "fig3", "--out", str(tmp_path), "--set", "snr_db=4000"], "4000.0"),
+        (["synth", "--out", str(tmp_path / "blk.txt"), "--snr-db", "4000"], "4000.0"),
+        (["sweep-far-frr", "--theta-hat", "0.2", "--thresholds", "0.1", "--trials", "2", "--snr-db", "4000"], "4000.0"),
+        # a linear SNR of 0 or nan is reported by its dB value too
+        (["synth", "--out", str(tmp_path / "blk.txt"), "--snr-db", "-4000"], "-4000.0"),
+        (["synth", "--out", str(tmp_path / "blk.txt"), "--snr-db=-inf"], "-inf"),
+        (["synth", "--out", str(tmp_path / "blk.txt"), "--snr-db", "nan"], "nan"),
+        (["attack-opt", "--M", "16", "--theta", "0.4", "--theta-hat", "0.2", "--snr-eve-db", "-4000"], "-4000.0"),
+        (["reproduce", "fig5", "--out", str(tmp_path), "--set", "snr_eve_db=-4000,"], "-4000.0"),
     ):
         assert main(argv) == 2
         captured = capsys.readouterr()
-        assert "error: SNR of 4000.0 dB is out of a float's range" in captured.err
+        assert f"error: SNR of {shown} dB is out of a float's range" in captured.err
         assert captured.out == ""
     assert not list(tmp_path.iterdir())
 

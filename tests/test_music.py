@@ -12,6 +12,7 @@ from aoa_pla.arrays import (
     NoiseModel,
     SignalBlock,
     derive_rng,
+    steering_vector,
     synthesize_attack,
     synthesize_legitimate,
 )
@@ -152,12 +153,12 @@ def test_degenerate_spectrum_raises():
 
 
 def _uncached_pseudospectrum(mat, geom, grid_step, num_sources):
-    """(grid, values, peaks) with the manifold built afresh, as before it was cached."""
+    """(grid, values, peaks) with the manifold built afresh from one scalar
+    `steering_vector` call per angle, bypassing the cache and the batched path."""
     _, vecs = hermitian_eig(mat)
     noise_basis = vecs[:, : geom.num_elements - num_sources]
     grid = _angle_grid(grid_step, math.pi / 2)
-    m = np.arange(geom.num_elements)
-    manifold = np.exp(-1j * geom.wavenumber_scale * np.outer(m, np.sin(grid)))
+    manifold = np.stack([steering_vector(geom, angle) for angle in grid], axis=1)
     denom = np.sum(np.abs(noise_basis.conj().T @ manifold) ** 2, axis=0)
     values = 1.0 / np.maximum(denom, np.finfo(float).tiny)
     return grid, values, _find_peaks(grid, values)
