@@ -6,6 +6,13 @@ wave from angle theta has the phase profile ``exp(-1j*kappa*m*sin(theta))``,
 and the MUSIC manifold). Noise is circularly symmetric complex Gaussian, scaled
 so the expected total noise energy across the array equals ``1/snr``
 (total-array SNR convention; per-element variance is ``1/(M*snr)``).
+
+`synthesize_legitimate` and `synthesize_attack` draw snapshot blocks, which
+`synth`, `music` and `verify` write, read and check. `synthesize_covariance`
+draws the sample covariance of such a block from its sufficient statistics
+(noise sample mean and a Bartlett-factored complex Wishart), at O(M^2) cost
+whatever the snapshot count; the Monte Carlo MUSIC trials of fig2 and the
+FAR/FRR sweep use it.
 """
 
 from __future__ import annotations
@@ -57,7 +64,8 @@ class NoiseModel:
     """Linear SNRs of the legitimate and adversarial links.
 
     ``math.inf`` means a noiseless link. The expected total noise energy
-    across the array is 1/snr on each link.
+    across the array is 1/snr on each link. A pair whose `floor` overflows
+    raises ValueError.
     """
 
     snr_legit: float
@@ -67,6 +75,11 @@ class NoiseModel:
         for name, val in (("snr_legit", self.snr_legit), ("snr_attacker", self.snr_attacker)):
             if not val > 0 or math.isnan(val):
                 raise ValueError(f"{name} must be > 0, got {val}")
+        if not self.floor < math.inf:
+            raise ValueError(
+                f"1/snr_legit + 1/snr_attacker overflows for snr_legit={self.snr_legit!r} "
+                f"and snr_attacker={self.snr_attacker!r}"
+            )
 
     @classmethod
     def from_db(cls, legit_db, attacker_db=None):
@@ -193,6 +206,13 @@ def _noise_block(rng, num_elements, num_snapshots, snr):
     )
 
 
+def legitimate_wavefront(geom, theta):
+    """a(theta), the legitimate transmitter's noiseless array response; theta must lie in [-pi/2, pi/2]."""
+    if not (math.isfinite(theta) and abs(theta) <= math.pi / 2):
+        raise ValueError(f"legitimate angle must lie in [-pi/2, pi/2], got {theta}")
+    return steering_vector(geom, theta)
+
+
 def synthesize_legitimate(geom, theta, noise, num_snapshots, seed):
     """Legitimate received block: each column is a(theta) * s0 + n.
 
@@ -201,10 +221,8 @@ def synthesize_legitimate(geom, theta, noise, num_snapshots, seed):
     """
     if num_snapshots < 1:
         raise ValueError("num_snapshots must be >= 1")
-    if not (math.isfinite(theta) and abs(theta) <= math.pi / 2):
-        raise ValueError(f"legitimate angle must lie in [-pi/2, pi/2], got {theta}")
+    a = legitimate_wavefront(geom, theta)
     rng = np.random.default_rng(seed)
-    a = steering_vector(geom, theta)
     samples = a[:, None] + _noise_block(rng, geom.num_elements, num_snapshots, noise.snr_legit)
     return SignalBlock(samples)
 
@@ -218,3 +236,36 @@ def synthesize_attack(geom, attacker, noise, num_snapshots, seed):
         rng, geom.num_elements, num_snapshots, noise.snr_attacker
     )
     return SignalBlock(samples)
+
+
+def synthesize_covariance(geom, wavefront, snr, num_snapshots, seed):
+    """Sample covariance of N snapshots `wavefront * s0 + n`, drawn without the snapshots.
+
+    For a deterministic pilot the snapshot covariance is exactly
+    ``(w + nbar)(w + nbar)^H + W / N``: ``nbar ~ CN(0, s2/N)`` per element is
+    the noise sample mean, and ``W = s2 * L L^H`` the independent scatter
+    about it, a complex Wishart with N - 1 degrees of freedom, with
+    s2 = 1/(M*snr) as in the synthesized blocks. L is its M x k Bartlett
+    factor (Goodman 1963), k = min(M, N - 1): ``L[j, j]**2 ~ Gamma(N - 1 - j)``
+    and CN(0, 1) entries below the diagonal. The cost is O(M^2), whatever N.
+    N <= M (rank-deficient W), N = 1 (W = 0) and a noiseless link
+    (snr = inf, s2 = 0) take the same path. The draw has the distribution of
+    `sample_covariance` of `synthesize_legitimate` / `synthesize_attack`,
+    not their random stream.
+    """
+    if num_snapshots < 1:
+        raise ValueError("num_snapshots must be >= 1")
+    m = geom.num_elements
+    wavefront = np.asarray(wavefront, dtype=complex)
+    if wavefront.shape != (m,):
+        raise ValueError(f"wavefront must have shape ({m},), got {wavefront.shape}")
+    rng = np.random.default_rng(seed)
+    var = 1.0 / (m * snr)
+    k = min(m, num_snapshots - 1)
+    rows, cols = np.tril_indices(m, -1, k)
+    re, im = math.sqrt(0.5) * rng.standard_normal((2, m + rows.size))
+    mean = wavefront + math.sqrt(var / num_snapshots) * (re[:m] + 1j * im[:m])
+    factor = np.zeros((m, k), dtype=complex)
+    factor[rows, cols] = re[m:] + 1j * im[m:]
+    factor[np.arange(k), np.arange(k)] = np.sqrt(rng.standard_gamma(num_snapshots - 1 - np.arange(k)))
+    return np.outer(mean, mean.conj()) + (var / num_snapshots) * (factor @ factor.conj().T)

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrays import derive_rng, synthesize_attack, synthesize_legitimate
-from .music import DEFAULT_GRID_STEP, DegenerateSpectrumError, estimate_aoa
+from .arrays import attack_wavefront, derive_rng, legitimate_wavefront, synthesize_covariance
+from .music import DEFAULT_GRID_STEP, DegenerateSpectrumError, estimate_aoa, estimate_aoa_from_covariance
 
 # absolute deviation threshold: 3 * spread + grid step, floored
 THRESHOLD_FLOOR = 0.02
@@ -82,20 +82,24 @@ def verify(profile, block, geom, threshold, grid_step=DEFAULT_GRID_STEP):
 
 
 def trial_estimates(geom, theta, attacker, noise, num_snapshots, grid_step, trials, key):
-    """MUSIC estimates of `trials` legitimate and attack blocks, as a (2, trials) array.
+    """MUSIC estimates of `trials` legitimate and attack links, as a (2, trials) array.
 
-    Row 0 holds the estimates of blocks from `theta`, row 1 those of blocks
-    from `attacker`. Side s of trial t draws from `derive_rng(*key, s, t)`;
-    blocks are drawn and estimated one at a time. A degenerate spectrum
-    yields no angle, so its entry is nan.
+    Row 0 holds the estimates of links from `theta`, row 1 those of links
+    from `attacker`. Each trial draws the N-snapshot sample covariance from
+    its sufficient statistics (`synthesize_covariance`), so no block is
+    built; side s of trial t draws from `derive_rng(*key, s, t)`. A
+    degenerate spectrum yields no angle, so its entry is nan.
     """
     estimates = np.full((2, trials), np.nan)
-    sides = ((synthesize_legitimate, theta), (synthesize_attack, attacker))
+    sides = (
+        (legitimate_wavefront(geom, theta), noise.snr_legit),
+        (attack_wavefront(geom, attacker), noise.snr_attacker),
+    )
     for t in range(trials):
-        for side, (synthesize, source) in enumerate(sides):
-            block = synthesize(geom, source, noise, num_snapshots, derive_rng(*key, side, t))
+        for side, (wavefront, snr) in enumerate(sides):
+            cov = synthesize_covariance(geom, wavefront, snr, num_snapshots, derive_rng(*key, side, t))
             try:
-                estimates[side, t] = estimate_aoa(block, geom, 1, grid_step)[0]
+                estimates[side, t] = estimate_aoa_from_covariance(cov, geom, 1, grid_step)[0]
             except DegenerateSpectrumError:
                 pass
     return estimates

@@ -205,7 +205,7 @@ def _cmd_music(args):
     if args.spectrum_csv:
         spec = pseudospectrum(sample_covariance(block), geom, args.grid_step, args.num_sources)
         lines = ["angle_rad,pseudospectrum"]
-        lines += [f"{a!r},{v!r}" for a, v in zip(spec.grid, spec.values)]
+        lines += [f"{a!r},{v!r}" for a, v in zip(spec.grid.tolist(), spec.values.tolist())]
         Path(args.spectrum_csv).write_text("\n".join(lines) + "\n")
         print(f"wrote {args.spectrum_csv}")
     return 0

@@ -1,4 +1,4 @@
-"""AoA estimation via the MUSIC noise-subspace pseudospectrum."""
+"""AoA estimation via the MUSIC pseudospectrum, from a signal block or a covariance."""
 
 from __future__ import annotations
 
@@ -110,30 +110,46 @@ def pseudospectrum(mat, geom, grid_step=DEFAULT_GRID_STEP, num_sources=1):
     """MUSIC pseudospectrum 1 / ||E_n^H a(theta)||^2 over the angle grid.
 
     E_n spans the M - num_sources eigenvectors with the smallest
-    eigenvalues of the covariance `mat`. The returned `grid` is the cached,
-    read-only grid of `_manifold`.
+    eigenvalues of the covariance `mat`. The denominator is computed from
+    the num_sources principal eigenvectors E_s as M - ||E_s^H a||^2, the
+    same quantity (``||a||^2 = M``) at num_sources x M x grid cost. It
+    carries rounding of order 1e-15 * M, so heights near a noiseless
+    peak keep less relative precision than the noise-subspace sum, and a
+    denominator at or below zero is clamped. When the num_sources
+    largest eigenvalues do not separate from the rest (gap at most
+    `_HERMITIAN_TOL` times the largest eigenvalue, as for a zero or an
+    identity matrix) the signal subspace is undetermined: every height is
+    1 / (M - num_sources) and there is no peak. The returned `grid` is the
+    cached, read-only grid of `_manifold`.
     """
-    if num_sources >= geom.num_elements:
-        raise ValueError(
-            f"num_sources ({num_sources}) must be < num_elements ({geom.num_elements})"
-        )
+    m = geom.num_elements
+    if num_sources >= m:
+        raise ValueError(f"num_sources ({num_sources}) must be < num_elements ({m})")
     if num_sources < 1:
         raise ValueError("num_sources must be >= 1")
-    _, vecs = hermitian_eig(mat)
-    noise_basis = vecs[:, : geom.num_elements - num_sources]
+    vals, vecs = hermitian_eig(mat)
+    if vals.size != m:
+        raise ValueError(f"covariance is {vals.size} x {vals.size}, the array has {m} elements")
     grid, manifold = _manifold(geom, grid_step)
-    proj = noise_basis.conj().T @ manifold
-    denom = np.sum(np.abs(proj) ** 2, axis=0)
-    # keep heights finite when the noise subspace is exactly orthogonal
-    values = 1.0 / np.maximum(denom, np.finfo(float).tiny)
+    if vals[m - num_sources] - vals[m - num_sources - 1] <= _HERMITIAN_TOL * max(vals[-1], 0.0):
+        values = np.full(grid.shape, 1.0 / (m - num_sources))
+    else:
+        proj = vecs[:, m - num_sources :].conj().T @ manifold
+        denom = m - np.sum(proj.real**2 + proj.imag**2, axis=0)
+        values = 1.0 / np.maximum(denom, np.finfo(float).tiny)
     return MusicSpectrum(grid=grid, values=values, peaks=_find_peaks(grid, values))
 
 
-def estimate_aoa(block, geom, num_sources=1, grid_step=DEFAULT_GRID_STEP):
-    """The num_sources highest pseudospectrum peaks, in descending height."""
-    spectrum = pseudospectrum(sample_covariance(block), geom, grid_step, num_sources)
+def estimate_aoa_from_covariance(mat, geom, num_sources=1, grid_step=DEFAULT_GRID_STEP):
+    """The num_sources highest pseudospectrum peaks of the covariance `mat`, in descending height."""
+    spectrum = pseudospectrum(mat, geom, grid_step, num_sources)
     if len(spectrum.peaks) < num_sources:
         raise DegenerateSpectrumError(
             f"found {len(spectrum.peaks)} local maxima, need {num_sources}"
         )
     return [angle for angle, _ in spectrum.peaks[:num_sources]]
+
+
+def estimate_aoa(block, geom, num_sources=1, grid_step=DEFAULT_GRID_STEP):
+    """`estimate_aoa_from_covariance` of the block's sample covariance."""
+    return estimate_aoa_from_covariance(sample_covariance(block), geom, num_sources, grid_step)

@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from aoa_pla.arrays import (
     derive_rng,
     steering_vector,
     synthesize_attack,
+    synthesize_covariance,
     synthesize_legitimate,
 )
+from aoa_pla.music import sample_covariance
 
 
 def test_steering_vector_matches_elementwise_definition():
@@ -119,7 +122,19 @@ def test_noise_model_from_db_outside_float_range_raises_value_error():
             NoiseModel.from_db(legit_db, attacker_db)
     assert NoiseModel.from_db(3082.0).snr_legit == 10.0 ** 308.2
     assert NoiseModel.from_db(math.inf) == NoiseModel.noiseless()
-    assert math.isfinite(1.0 / NoiseModel.from_db(-3082.0).snr_legit)
+    # one link at -3082 dB is in range; both there overflow the floor (test_noise_model_floor_overflow_raises)
+    assert math.isfinite(1.0 / NoiseModel.from_db(-3082.0, 15.0).snr_legit)
+
+
+def test_noise_model_floor_overflow_raises():
+    # each 1/snr is about 1.6e308 at -3082 dB, so their sum overflows
+    with pytest.raises(ValueError, match=r"overflows for snr_legit=6\.3\d*e-309 and snr_attacker=6\.3\d*e-309"):
+        NoiseModel.from_db(-3082.0, -3082.0)
+    tiny = 1.0 / 1.7e308
+    with pytest.raises(ValueError, match="1/snr_legit \\+ 1/snr_attacker overflows"):
+        NoiseModel(tiny, tiny)
+    assert NoiseModel(tiny, math.inf).floor == 1.0 / tiny
+    assert math.isfinite(NoiseModel.from_db(-3082.0, 15.0).floor)
 
 
 def test_noise_model_noiseless_floor_zero():
@@ -215,6 +230,65 @@ def test_synthesis_validation():
     att = AttackerConfig.single(0.1)
     with pytest.raises(ValueError):
         synthesize_attack(geom, att, noise, 0, 0)
+
+
+def _covariance_statistics(covs):
+    """Per-draw statistics of R[1,0], R[0,0], R[3,1] and R[3,3]: real parts,
+    the imaginary parts of the off-diagonal two, and the squared distance of
+    each from its sample mean (whose mean is the variance). Rows are
+    independent draws, so each column's mean has a standard error of its
+    sample std / sqrt(draws)."""
+    entries = covs[:, [1, 0, 3, 3], [0, 0, 1, 3]]
+    spread = np.abs(entries - entries.mean(axis=0)) ** 2
+    return np.column_stack([entries.real, entries[:, [0, 2]].imag, spread])
+
+
+def test_synthesized_covariance_matches_snapshot_covariance_in_distribution():
+    # two-sample z-test on the mean of every statistic column, M = 4;
+    # N <= M draws a rank-deficient (N = 2, 3) or empty (N = 1) Wishart factor.
+    # Low SNRs, so the noise terms carry the variances.
+    # 5 scenarios x 10 columns: a Sidak bound at family-wise alpha = 0.001.
+    geom = ArrayGeometry(4)
+    noise = NoiseModel.from_db(-10.0, -3.0)
+    attacker = AttackerConfig.from_precoders((0.1, -0.4), [0.7 + 0.2j, 0.3 - 0.2j])
+    legit = (steering_vector(geom, 0.3), noise.snr_legit, synthesize_legitimate, 0.3)
+    attack = (attack_wavefront(geom, attacker), noise.snr_attacker, synthesize_attack, attacker)
+    scenarios = [(legit, 1), (legit, 2), (legit, 3), (legit, 50), (attack, 3)]
+    draws, tests = 3000, len(scenarios) * 10
+    z_bound = NormalDist().inv_cdf(1.0 - (1.0 - (1.0 - 1e-3) ** (1.0 / tests)) / 2.0)
+    for index, ((wavefront, snr, synthesize, source), n) in enumerate(scenarios):
+        rng_cov, rng_block = derive_rng(17, index, 0), derive_rng(17, index, 1)
+        drawn = _covariance_statistics(
+            np.array([synthesize_covariance(geom, wavefront, snr, n, rng_cov) for _ in range(draws)])
+        )
+        direct = _covariance_statistics(
+            np.array([sample_covariance(synthesize(geom, source, noise, n, rng_block)) for _ in range(draws)])
+        )
+        stderr = np.sqrt((drawn.var(axis=0, ddof=1) + direct.var(axis=0, ddof=1)) / draws)
+        z = np.abs(drawn.mean(axis=0) - direct.mean(axis=0)) / stderr
+        assert np.all(z <= z_bound), (index, z.round(2), z_bound)
+
+
+def test_synthesized_covariance_noiseless_is_outer_product():
+    geom = ArrayGeometry(5)
+    attacker = AttackerConfig.from_precoders((0.1, -0.4), [0.7 + 0.2j, 0.3 - 0.2j])
+    for w in (steering_vector(geom, 0.3), attack_wavefront(geom, attacker)):
+        for n in (1, 2, 5, 50):
+            cov = synthesize_covariance(geom, w, math.inf, n, 3)
+            assert np.array_equal(cov, np.outer(w, w.conj()))
+
+
+def test_synthesized_covariance_seeded_and_validated():
+    geom = ArrayGeometry(4)
+    w = steering_vector(geom, 0.2)
+    first = synthesize_covariance(geom, w, 2.0, 10, derive_rng(9, 1))
+    assert np.array_equal(first, synthesize_covariance(geom, w, 2.0, 10, derive_rng(9, 1)))
+    assert not np.array_equal(first, synthesize_covariance(geom, w, 2.0, 10, derive_rng(9, 2)))
+    assert np.allclose(first, first.conj().T, rtol=0.0, atol=1e-15)
+    with pytest.raises(ValueError, match="num_snapshots must be >= 1"):
+        synthesize_covariance(geom, w, 2.0, 0, 0)
+    with pytest.raises(ValueError, match=r"wavefront must have shape \(4,\)"):
+        synthesize_covariance(geom, w[:3], 2.0, 10, 0)
 
 
 def test_total_array_snr_convention():

@@ -91,20 +91,20 @@ def test_far_frr_monotone_in_threshold():
 
 
 def test_far_frr_counts_degenerate_legitimate_trial_as_reject(monkeypatch):
-    real_estimate = auth.estimate_aoa
+    real_estimate = auth.estimate_aoa_from_covariance
     calls = []
     legit_calls = []
 
-    def estimate(block, *args, **kwargs):
-        # each trial estimates its legitimate block first, then its attack block
-        calls.append(block)
+    def estimate(cov, *args, **kwargs):
+        # each trial estimates its legitimate covariance first, then its attack covariance
+        calls.append(cov)
         if len(calls) % 2 == 1:
-            legit_calls.append(block)
+            legit_calls.append(cov)
             if len(legit_calls) == 2:
                 raise auth.DegenerateSpectrumError("injected")
-        return real_estimate(block, *args, **kwargs)
+        return real_estimate(cov, *args, **kwargs)
 
-    monkeypatch.setattr(auth, "estimate_aoa", estimate)
+    monkeypatch.setattr(auth, "estimate_aoa_from_covariance", estimate)
     geom = ArrayGeometry(8)
     noise = NoiseModel.from_db(20.0)
     # a threshold of 10 rad accepts every angle a real estimate can give
@@ -117,8 +117,8 @@ def test_far_frr_counts_degenerate_legitimate_trial_as_reject(monkeypatch):
 
 
 def _degenerate_on_call(monkeypatch, n):
-    """Make auth.estimate_aoa raise DegenerateSpectrumError on its n-th call only."""
-    real_estimate = auth.estimate_aoa
+    """Make auth.estimate_aoa_from_covariance raise DegenerateSpectrumError on its n-th call only."""
+    real_estimate = auth.estimate_aoa_from_covariance
     calls = []
 
     def estimate(*args, **kwargs):
@@ -127,7 +127,7 @@ def _degenerate_on_call(monkeypatch, n):
             raise auth.DegenerateSpectrumError("injected")
         return real_estimate(*args, **kwargs)
 
-    monkeypatch.setattr(auth, "estimate_aoa", estimate)
+    monkeypatch.setattr(auth, "estimate_aoa_from_covariance", estimate)
 
 
 def test_trial_estimates_degenerate_trial_is_nan(monkeypatch):
@@ -167,6 +167,9 @@ def test_far_frr_validation():
     for bad in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="threshold must be > 0"):
             far_frr_sweep(geom, 0.4, attacker, noise, [0.05, bad], 10, 0)
+    for bad in (2.0, -1.6, math.nan):
+        with pytest.raises(ValueError, match=r"legitimate angle must lie in \[-pi/2, pi/2\]"):
+            far_frr_sweep(geom, bad, attacker, noise, [0.05], 10, 0)
 
 
 def test_acl_roundtrip_exact(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from aoa_pla.arrays import ArrayGeometry, AttackerConfig, NoiseModel, synthesize_attack, synthesize_legitimate
 from aoa_pla.auth import enroll, save_acl
+from aoa_pla.music import pseudospectrum, sample_covariance
 from aoa_pla.cli import (
     main,
     read_signal_block,
@@ -77,6 +78,22 @@ def test_cli_music_bad_blocks_exit_2(tmp_path, capsys):
     zero_block.write_text("2 3\n0j,0j\n0j,0j\n0j,0j\n")
     assert main(["music", "--input", str(zero_block)]) == 2
     assert "local maxima" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m", [3, 16])
+def test_cli_all_zero_block_is_degenerate(tmp_path, capsys, m):
+    # a zero covariance has no signal subspace, so its spectrum is flat
+    zero_block = tmp_path / "zero.txt"
+    zero_block.write_text(f"{m} 4\n" + f"{','.join(['0j'] * m)}\n" * 4)
+    assert main(["music", "--input", str(zero_block)]) == 2
+    assert "error: found 0 local maxima, need 1" in capsys.readouterr().err
+    acl = tmp_path / "acl.txt"
+    save_acl(acl, [enroll("alice", [0.4])])
+    rc = main(["verify", "--acl", str(acl), "--identity", "alice", "--threshold", "0.05", "--input", str(zero_block)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert out.startswith("REJECT: measured nan rad, deviation inf")
+    assert "diagnostic: degenerate spectrum: found 0 local maxima, need 1" in out
 
 
 def test_parse_override_value():
@@ -183,6 +200,17 @@ def test_cli_attack_opt_gradient_residual(capsys):
     assert rc == 0
     residual = float(out.splitlines()[-1].split("=")[1])
     assert residual <= 1e-9
+
+
+def test_cli_attack_opt_overflowing_noise_floor_exits_2(capsys):
+    # each 1/snr is about 1.6e308 at -3082 dB, so the floor 1/snr_a + 1/snr_e overflows
+    argv = ["attack-opt", "--M", "16", "--theta", "0.4", "--theta-hat", "0.2"]
+    assert main(argv + ["--snr-alice-db", "-3082", "--snr-eve-db", "-3082"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(r"error: 1/snr_legit \+ 1/snr_attacker overflows for snr_legit=\S+ and snr_attacker=\S+", captured.err)
+    assert main(argv + ["--snr-alice-db", "-3082", "--snr-eve-db", "15"]) == 0
+    assert "floor gap" in capsys.readouterr().out
 
 
 def test_cli_reproduce_twice_identical_bytes(tmp_path, capsys):
@@ -310,6 +338,10 @@ def test_cli_music_from_file_with_spectrum(tmp_path, capsys):
     lines = spec.read_text().splitlines()
     assert lines[0] == "angle_rad,pseudospectrum"
     assert len(lines) > 1000
+    # plain float literals that read back exactly
+    expected = pseudospectrum(sample_covariance(block), geom)
+    table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert np.array_equal(table[:, 0], expected.grid) and np.array_equal(table[:, 1], expected.values)
 
 
 def test_cli_verify_exit_codes(tmp_path, capsys):

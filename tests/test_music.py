@@ -11,16 +11,20 @@ from aoa_pla.arrays import (
     AttackerConfig,
     NoiseModel,
     SignalBlock,
+    attack_wavefront,
     derive_rng,
     steering_vector,
     synthesize_attack,
+    synthesize_covariance,
     synthesize_legitimate,
 )
 from aoa_pla.experiments import ExperimentConfig, run_fig2
 from aoa_pla.music import (
+    _HERMITIAN_TOL,
     DegenerateSpectrumError,
     NonHermitianError,
     estimate_aoa,
+    estimate_aoa_from_covariance,
     hermitian_eig,
     pseudospectrum,
     sample_covariance,
@@ -152,15 +156,70 @@ def test_degenerate_spectrum_raises():
         estimate_aoa(block, geom, grid_step=2.0)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 16])
+@pytest.mark.parametrize("make", [lambda m: np.zeros((m, m)), np.eye], ids=["zero", "identity"])
+def test_undetermined_signal_subspace_gives_flat_spectrum(make, m):
+    geom = ArrayGeometry(m)
+    spec = pseudospectrum(make(m), geom)
+    assert spec.peaks == []
+    assert np.all(spec.values == 1.0 / (m - 1))
+    with pytest.raises(DegenerateSpectrumError, match="found 0 local maxima, need 1"):
+        estimate_aoa_from_covariance(make(m), geom)
+    # one source above a white floor separates: its top eigenvalue is M + 1, the rest 1
+    a = steering_vector(geom, 0.3)
+    assert estimate_aoa_from_covariance(make(m) + np.outer(a, a.conj()), geom) == [pytest.approx(0.3, abs=1e-12)]
+
+
+def test_pseudospectrum_rejects_covariance_of_another_size():
+    with pytest.raises(ValueError, match="covariance is 3 x 3, the array has 4 elements"):
+        pseudospectrum(np.eye(3), ArrayGeometry(4))
+
+
+def test_covariance_estimates_match_snapshot_estimates_at_low_snr():
+    # M = 2, -10 dB, N = 2000, Alice at 0.4 rad (criterion 9c's setting). On
+    # each drawn covariance the estimate is the arg R[1,0] oracle to a grid
+    # step; the covariance-path estimates and the snapshot-path estimates then
+    # pass a two-sample Kolmogorov-Smirnov test at alpha = 0.001.
+    geom = ArrayGeometry(2)
+    noise = NoiseModel.from_db(-10.0)
+    theta, snapshots, trials, alpha = 0.4, 2000, 400, 0.001
+    kappa = geom.wavenumber_scale
+    a = steering_vector(geom, theta)
+    drawn, snapshot = [], []
+    for t in range(trials):
+        cov = synthesize_covariance(geom, a, noise.snr_legit, snapshots, derive_rng(93, 0, t))
+        est = estimate_aoa_from_covariance(cov, geom)[0]
+        assert abs(est - math.asin(-np.angle(cov[1, 0]) / kappa)) <= 0.001
+        drawn.append(est)
+        block = synthesize_legitimate(geom, theta, noise, snapshots, derive_rng(93, 1, t))
+        snapshot.append(estimate_aoa(block, geom)[0])
+    both = np.sort(np.concatenate([drawn, snapshot]))
+    cdf_gap = np.max(np.abs(
+        np.searchsorted(np.sort(drawn), both, side="right") - np.searchsorted(np.sort(snapshot), both, side="right")
+    )) / trials
+    critical = math.sqrt(-math.log(alpha / 2.0) / 2.0) * math.sqrt(2.0 / trials)
+    assert cdf_gap <= critical
+    # sd about 0.03 rad over 400 trials: 0.01 rad is over 6 standard errors of the mean
+    assert abs(np.mean(drawn) - theta) <= 0.01
+
+
 def _uncached_pseudospectrum(mat, geom, grid_step, num_sources):
     """(grid, values, peaks) with the manifold built afresh from one scalar
-    `steering_vector` call per angle, bypassing the cache and the batched path."""
-    _, vecs = hermitian_eig(mat)
-    noise_basis = vecs[:, : geom.num_elements - num_sources]
+    `steering_vector` call per angle, bypassing the cache and the batched path.
+
+    Signal-subspace arithmetic, with flat heights 1 / (M - num_sources) when
+    the num_sources largest eigenvalues do not separate from the rest."""
+    m = geom.num_elements
+    vals, vecs = hermitian_eig(mat)
     grid = _angle_grid(grid_step, math.pi / 2)
-    manifold = np.stack([steering_vector(geom, angle) for angle in grid], axis=1)
-    denom = np.sum(np.abs(noise_basis.conj().T @ manifold) ** 2, axis=0)
-    values = 1.0 / np.maximum(denom, np.finfo(float).tiny)
+    if vals[m - num_sources] - vals[m - num_sources - 1] <= _HERMITIAN_TOL * max(vals[-1], 0.0):
+        values = np.full(grid.shape, 1.0 / (m - num_sources))
+    else:
+        signal_basis = vecs[:, m - num_sources :]
+        manifold = np.stack([steering_vector(geom, angle) for angle in grid], axis=1)
+        proj = signal_basis.conj().T @ manifold
+        denom = m - np.sum(proj.real**2 + proj.imag**2, axis=0)
+        values = 1.0 / np.maximum(denom, np.finfo(float).tiny)
     return grid, values, _find_peaks(grid, values)
 
 
@@ -194,6 +253,45 @@ def test_cached_pseudospectrum_bit_equal_to_uncached(scenario):
     _assert_matches_uncached(cov, geom, grid_step, num_sources)
 
 
+# The signal-subspace denominator M - ||E_s^H a||^2 equals the noise-subspace
+# sum ||E_n^H a||^2 up to rounding: 3000 random covariances (M <= 24) differed
+# by at most 2.2e-15 * M. Two grid denominators that agree to 2 * _DENOM_RTOL * M
+# may therefore swap order between the two forms; no others can.
+_DENOM_RTOL = 1e-13
+
+
+@settings(max_examples=200, deadline=None)
+@given(_music_scenarios())
+def test_signal_subspace_peaks_equal_noise_subspace_peaks(scenario):
+    geom, grid_step, num_sources, block = scenario
+    m = geom.num_elements
+    cov = sample_covariance(block)
+    spec = pseudospectrum(cov, geom, grid_step, num_sources)
+    vals, vecs = hermitian_eig(cov)
+    if vals[m - num_sources] - vals[m - num_sources - 1] <= _HERMITIAN_TOL * max(vals[-1], 0.0):
+        assert spec.peaks == [] and np.all(spec.values == spec.values[0])
+        return
+    manifold = steering_vector(geom, spec.grid).T
+    denom = np.sum(np.abs(vecs[:, : m - num_sources].conj().T @ manifold) ** 2, axis=0)
+    tol = _DENOM_RTOL * m
+    assert np.max(np.abs(1.0 / spec.values - np.maximum(denom, np.finfo(float).tiny))) <= tol
+    noise_peaks = _find_peaks(spec.grid, 1.0 / np.maximum(denom, np.finfo(float).tiny))
+    index = {float(angle): i for i, angle in enumerate(spec.grid)}
+    # a grid point whose denominator ties a neighbour's may gain or lose its peak
+    near_tie = np.zeros(denom.shape, dtype=bool)
+    close = np.abs(np.diff(denom)) <= 2.0 * tol
+    near_tie[:-1] |= close
+    near_tie[1:] |= close
+    signal_order = [index[a] for a, _ in spec.peaks if not near_tie[index[a]]]
+    noise_order = [index[a] for a, _ in noise_peaks if not near_tie[index[a]]]
+    assert sorted(signal_order) == sorted(noise_order)
+    rank = {i: r for r, i in enumerate(noise_order)}
+    for r, i in enumerate(signal_order):
+        for j in signal_order[r + 1 :]:
+            if rank[j] < rank[i]:
+                assert abs(denom[i] - denom[j]) <= 2.0 * tol
+
+
 def test_manifold_not_shared_across_spacing_or_grid_step():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((8, 30)) + 1j * rng.standard_normal((8, 30))
@@ -224,8 +322,8 @@ def test_run_fig2_matches_uncached_reference(monkeypatch):
     p = config.params()
     attacker = AttackerConfig((p["theta_hat"],) * 2, (0.5, 0.5), (0.0, 0.0))
 
-    def reference_estimate(block, geom):
-        _, _, peaks = _uncached_pseudospectrum(sample_covariance(block), geom, p["grid_step"], 1)
+    def reference_estimate(cov, geom):
+        _, _, peaks = _uncached_pseudospectrum(cov, geom, p["grid_step"], 1)
         return peaks[0][0]
 
     expected = []
@@ -234,19 +332,23 @@ def test_run_fig2_matches_uncached_reference(monkeypatch):
         noise = NoiseModel.from_db(snr_db)
         for t in range(p["trials"]):
             rng = derive_rng(config.seed, point, 0, t)
-            block = synthesize_legitimate(geom, p["theta"], noise, p["num_snapshots"], rng)
-            expected.append(reference_estimate(block, geom))
+            cov = synthesize_covariance(
+                geom, steering_vector(geom, p["theta"]), noise.snr_legit, p["num_snapshots"], rng
+            )
+            expected.append(reference_estimate(cov, geom))
             rng = derive_rng(config.seed, point, 1, t)
-            block = synthesize_attack(geom, attacker, noise, p["num_snapshots"], rng)
-            expected.append(reference_estimate(block, geom))
+            cov = synthesize_covariance(
+                geom, attack_wavefront(geom, attacker), noise.snr_attacker, p["num_snapshots"], rng
+            )
+            expected.append(reference_estimate(cov, geom))
 
     seen = []
 
     def recording_estimate(*args, **kwargs):
-        estimates = estimate_aoa(*args, **kwargs)
+        estimates = estimate_aoa_from_covariance(*args, **kwargs)
         seen.append(estimates[0])
         return estimates
 
-    monkeypatch.setattr(auth, "estimate_aoa", recording_estimate)
+    monkeypatch.setattr(auth, "estimate_aoa_from_covariance", recording_estimate)
     run_fig2(config)
     assert seen == expected
