@@ -112,16 +112,33 @@ def _table(config, params, columns):
     return ResultTable(list(columns), list(zip(*cells, strict=True)), meta)
 
 
+# rows formatted and written at a time; the texts of one chunk are all that is held
+_CSV_CHUNK_ROWS = 2048
+
+
 def write_csv(table, path):
     """Comma-separated table with `#`-prefixed metadata comment lines.
 
-    Cells are Python scalars, so `str` prints each float's shortest
-    round-trip repr.
+    Each cell prints as `str` of its Python scalar, so a float prints its
+    shortest round-trip repr. The rows are written in chunks, and within a
+    chunk a column of floats is formatted once per distinct bit pattern (so
+    -0.0 and 0.0, and NaN payloads, stay apart).
     """
-    lines = [f"# {key} = {table.metadata[key]}" for key in sorted(table.metadata)]
-    lines.append(",".join(table.columns))
-    lines.extend(",".join(map(str, row)) for row in table.rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as out:
+        out.write("".join(f"# {key} = {table.metadata[key]}\n" for key in sorted(table.metadata)))
+        out.write(",".join(table.columns) + "\n")
+        for start in range(0, len(table.rows), _CSV_CHUNK_ROWS):
+            chunk = zip(*table.rows[start : start + _CSV_CHUNK_ROWS])
+            out.write("\n".join(map(",".join, zip(*map(_cell_texts, chunk)))) + "\n")
+
+
+def _cell_texts(cells):
+    """`str` of each cell of one column, one call per distinct float bit pattern."""
+    if set(map(type, cells)) != {float}:
+        return list(map(str, cells))
+    bits, index = np.unique(np.array(cells).view(np.int64), return_inverse=True)
+    texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return texts[index].tolist()
 
 
 def _column(table, name):
@@ -569,17 +586,15 @@ def emit_plot(table, kind, path, x_column, y_columns=None, group_by=None):
         series, x_axis = {}, []
         for gval, idxs in groups.items():
             order = idxs[np.argsort(xs[idxs], kind="stable")]
-            x_axis = xs[order].tolist()
+            x_axis = xs[order]
             for col, vals in ys.items():
                 label = col if gval is None else f"{col} [{group_by}={gval}]"
-                series[label] = vals[order].tolist()
+                series[label] = vals[order]
         svg = svgfig.line_chart(x_axis, series, x_label=x_column, y_label=", ".join(y_columns))
     else:
         y_col, z_col = y_columns
         x_axis, y_axis, z = _grid(xs, _column(table, y_col), _column(table, z_col))
-        svg = svgfig.surface_chart(
-            x_axis.tolist(), y_axis.tolist(), z.tolist(), x_label=x_column, y_label=y_col, z_label=z_col
-        )
+        svg = svgfig.surface_chart(x_axis, y_axis, z, x_label=x_column, y_label=y_col, z_label=z_col)
     Path(path).write_text(svg)
     return Path(path)
 

@@ -1,12 +1,20 @@
 """Minimal self-contained SVG charts (line and color-mapped surface).
 
 No plotting library is used so that emitted figures have no runtime
-dependencies and are byte-reproducible.
+dependencies and are byte-reproducible. Both charts are rendered from
+arrays: a polyline's points come from one array pass and one format call,
+and a surface's colours are mapped for the whole grid at once, each
+distinct colour and each cell position being formatted once. The
+arithmetic is the scalar `to_px` and colour-map arithmetic, in the same
+order, so the bytes equal those of the per-point and per-cell loops that
+`tests/oracles.py` keeps as the reference.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 WIDTH, HEIGHT = 720, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 150, 30, 55
@@ -18,6 +26,7 @@ SERIES_COLORS = [
 
 # viridis-like anchors for the surface color map
 _CMAP = [(68, 1, 84), (59, 82, 139), (33, 145, 140), (94, 201, 98), (253, 231, 37)]
+_CMAP_RGB = np.array(_CMAP, dtype=float)
 
 
 def _fmt(x):
@@ -42,13 +51,33 @@ def _ticks(lo, hi, count=6):
     return ticks or [lo, hi]
 
 
-def _color(frac):
-    frac = min(max(frac, 0.0), 1.0)
-    pos = frac * (len(_CMAP) - 1)
-    i = min(int(pos), len(_CMAP) - 2)
+def _color_keys(frac):
+    """Colour-map colour of every entry of an array of fractions, packed as r<<16 | g<<8 | b.
+
+    A fraction is clamped to [0, 1] and interpolated linearly between the
+    two `_CMAP` anchors around it; each channel is rounded half-to-even.
+    """
+    pos = np.clip(frac, 0.0, 1.0) * (len(_CMAP) - 1)
+    i = np.minimum(pos.astype(np.int64), len(_CMAP) - 2)
     w = pos - i
-    rgb = [round(a + (b - a) * w) for a, b in zip(_CMAP[i], _CMAP[i + 1])]
-    return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
+    keys = np.zeros(pos.shape, dtype=np.int64)
+    for anchors in _CMAP_RGB.T:  # red, green, blue
+        a, b = anchors[i], anchors[i + 1]
+        keys = keys << 8 | np.round(a + (b - a) * w).astype(np.int64)
+    return keys
+
+
+def _key_color(key):
+    return f"rgb({key >> 16},{key >> 8 & 255},{key & 255})"
+
+
+def _first_extremes(values):
+    """(min, max) of a non-empty 1-D array as Python floats.
+
+    `argmin`/`argmax` return the first extreme, as `min`/`max` over the
+    values in order would, so a tie of -0.0 and 0.0 keeps the first.
+    """
+    return float(values[values.argmin()]), float(values[values.argmax()])
 
 
 def _axes(parts, x_lo, x_hi, y_lo, y_hi, x_label, y_label, to_px):
@@ -75,13 +104,20 @@ def _axes(parts, x_lo, x_hi, y_lo, y_hi, x_label, y_label, to_px):
 
 
 def line_chart(x, series, x_label="", y_label=""):
-    """SVG line chart. `series` is {name: y-values}, all aligned with `x`."""
-    xs = [float(v) for v in x]
-    ys_all = [float(v) for vals in series.values() for v in vals if math.isfinite(v)]
-    if not xs or not ys_all:
+    """SVG line chart. `series` is {name: y-values}, all aligned with `x`.
+
+    Non-finite y values are left out of their polyline.
+    """
+    xs = np.asarray(x, dtype=float)
+    ys = {name: np.asarray(vals, dtype=float) for name, vals in series.items()}
+    if any(vals.shape != xs.shape for vals in ys.values()):
+        raise ValueError("every series must align with x")
+    finite = [vals[np.isfinite(vals)] for vals in ys.values()]
+    ys_all = np.concatenate(finite) if finite else xs[:0]
+    if not xs.size or not ys_all.size:
         raise ValueError("nothing to plot")
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys_all), max(ys_all)
+    x_lo, x_hi = _first_extremes(xs)
+    y_lo, y_hi = _first_extremes(ys_all)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -104,12 +140,12 @@ def line_chart(x, series, x_label="", y_label=""):
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
     _axes(parts, x_lo, x_hi, y_lo, y_hi, x_label, y_label, to_px)
-    for idx, (name, vals) in enumerate(series.items()):
+    for idx, (name, vals) in enumerate(ys.items()):
         color = SERIES_COLORS[idx % len(SERIES_COLORS)]
-        pts = " ".join(
-            f"{_fmt(px)},{_fmt(py)}"
-            for px, py in (to_px(a, float(b)) for a, b in zip(xs, vals) if math.isfinite(float(b)))
-        )
+        keep = np.isfinite(vals)
+        px, py = to_px(xs[keep], vals[keep])
+        # "%.6g" prints what `_fmt` does; one format call covers every point
+        pts = " ".join(["%.6g,%.6g"] * px.size) % tuple(np.column_stack((px, py)).ravel().tolist())
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = MARGIN_T + 16 + 16 * idx
         parts.append(
@@ -124,14 +160,20 @@ def line_chart(x, series, x_label="", y_label=""):
 def surface_chart(x, y, z, x_label="", y_label="", z_label=""):
     """Color-mapped surface over a rectangular (x, y) grid.
 
-    `z` is row-major with rows indexed by `y` and columns by `x`.
+    `z` is an array-like of shape (len(y), len(x)): rows are indexed by `y`
+    and columns by `x`. The colour range spans the finite cells and
+    non-finite cells are left undrawn.
     """
     xs = [float(v) for v in x]
     ys = [float(v) for v in y]
-    if len(z) != len(ys) or any(len(row) != len(xs) for row in z):
+    z = np.asarray(z, dtype=float)
+    if z.shape != (len(ys), len(xs)):
         raise ValueError("z must be len(y) x len(x)")
-    flat = [float(v) for row in z for v in row]
-    z_lo, z_hi = min(flat), max(flat)
+    finite = np.isfinite(z)
+    values = z[finite]
+    if not values.size:
+        raise ValueError("nothing to plot")
+    z_lo, z_hi = _first_extremes(values)
     span = (z_hi - z_lo) or 1.0
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
@@ -148,24 +190,27 @@ def surface_chart(x, y, z, x_label="", y_label="", z_label=""):
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
-    for iy, row in enumerate(z):
-        py = HEIGHT - MARGIN_B - (iy + 1) * cell_h
-        for ix, val in enumerate(row):
-            px = MARGIN_L + ix * cell_w
-            parts.append(
-                f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(cell_w + 0.5)}" '
-                f'height="{_fmt(cell_h + 0.5)}" fill="{_color((float(val) - z_lo) / span)}"/>'
-            )
+    # each distinct colour, x position and row is formatted once; -1 marks an undrawn cell
+    palette, index = np.unique(_color_keys((values - z_lo) / span), return_inverse=True)
+    fills = [f'" fill="{_key_color(key)}"/>' for key in palette.tolist()]
+    cells = np.full(z.shape, -1)
+    cells[finite] = index
+    heads = [f'<rect x="{_fmt(MARGIN_L + ix * cell_w)}" y="' for ix in range(len(xs))]
+    size = f'" width="{_fmt(cell_w + 0.5)}" height="{_fmt(cell_h + 0.5)}'
+    for iy, row in enumerate(cells):
+        mid = _fmt(HEIGHT - MARGIN_B - (iy + 1) * cell_h) + size
+        line = "\n".join(head + mid + fills[k] for head, k in zip(heads, row.tolist()) if k >= 0)
+        if line:
+            parts.append(line)
     _axes(parts, xs[0], xs[-1], ys[0], ys[-1], x_label, y_label, to_px)
     # color bar
     bar_x = WIDTH - MARGIN_R + 30
     steps = 40
-    for i in range(steps):
-        frac = i / (steps - 1)
+    for i, key in enumerate(_color_keys(np.arange(steps) / (steps - 1)).tolist()):
         by = HEIGHT - MARGIN_B - (i + 1) * plot_h / steps
         parts.append(
             f'<rect x="{bar_x}" y="{_fmt(by)}" width="18" height="{_fmt(plot_h / steps + 0.5)}" '
-            f'fill="{_color(frac)}"/>'
+            f'fill="{_key_color(key)}"/>'
         )
     parts.append(f'<text x="{bar_x}" y="{MARGIN_T - 8}" font-size="11">{z_label}</text>')
     parts.append(f'<text x="{bar_x + 24}" y="{HEIGHT - MARGIN_B}" font-size="10">{_fmt(z_lo)}</text>')

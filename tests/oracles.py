@@ -1,0 +1,148 @@
+"""Scalar reference writers for the CSV and SVG output, for tests only.
+
+The library renders tables and charts from arrays. These compute the same
+output one row, one point or one cell at a time, with the scalar colour
+map `_color`, so that tests can require the library's bytes to equal
+theirs. Axes and ticks come from `aoa_pla.svgfig`, which keeps them scalar.
+"""
+
+from __future__ import annotations
+
+import math
+from pathlib import Path
+
+from aoa_pla.svgfig import (
+    _CMAP,
+    HEIGHT,
+    MARGIN_B,
+    MARGIN_L,
+    MARGIN_R,
+    MARGIN_T,
+    SERIES_COLORS,
+    WIDTH,
+    _axes,
+    _fmt,
+)
+
+
+def _color(frac):
+    """The colour-map colour of one fraction, as `rgb(r,g,b)`."""
+    frac = min(max(frac, 0.0), 1.0)
+    pos = frac * (len(_CMAP) - 1)
+    i = min(int(pos), len(_CMAP) - 2)
+    w = pos - i
+    rgb = [round(a + (b - a) * w) for a, b in zip(_CMAP[i], _CMAP[i + 1])]
+    return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
+
+
+def write_csv(table, path):
+    """`experiments.write_csv`, one `str` per cell and one line per row."""
+    lines = [f"# {key} = {table.metadata[key]}" for key in sorted(table.metadata)]
+    lines.append(",".join(table.columns))
+    lines.extend(",".join(map(str, row)) for row in table.rows)
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def line_chart(x, series, x_label="", y_label=""):
+    """`svgfig.line_chart`, one `to_px` and two `_fmt` calls per point."""
+    xs = [float(v) for v in x]
+    ys_all = [float(v) for vals in series.values() for v in vals if math.isfinite(v)]
+    if not xs or not ys_all:
+        raise ValueError("nothing to plot")
+    x_lo, x_hi = min(xs), max(xs)
+    y_lo, y_hi = min(ys_all), max(ys_all)
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    if y_hi == y_lo:
+        y_hi = y_lo + 1.0
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo -= pad
+    y_hi += pad
+
+    def to_px(px, py):
+        fx = (px - x_lo) / (x_hi - x_lo)
+        fy = (py - y_lo) / (y_hi - y_lo)
+        return (
+            MARGIN_L + fx * (WIDTH - MARGIN_L - MARGIN_R),
+            HEIGHT - MARGIN_B - fy * (HEIGHT - MARGIN_T - MARGIN_B),
+        )
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+    ]
+    _axes(parts, x_lo, x_hi, y_lo, y_hi, x_label, y_label, to_px)
+    for idx, (name, vals) in enumerate(series.items()):
+        color = SERIES_COLORS[idx % len(SERIES_COLORS)]
+        pts = " ".join(
+            f"{_fmt(px)},{_fmt(py)}"
+            for px, py in (to_px(a, float(b)) for a, b in zip(xs, vals) if math.isfinite(float(b)))
+        )
+        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+        ly = MARGIN_T + 16 + 16 * idx
+        parts.append(
+            f'<line x1="{WIDTH - MARGIN_R + 10}" y1="{ly - 4}" x2="{WIDTH - MARGIN_R + 34}" '
+            f'y2="{ly - 4}" stroke="{color}" stroke-width="1.5"/>'
+        )
+        parts.append(f'<text x="{WIDTH - MARGIN_R + 38}" y="{ly}" font-size="11">{name}</text>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def surface_chart(x, y, z, x_label="", y_label="", z_label=""):
+    """`svgfig.surface_chart`, one `_color` and four `_fmt` calls per cell.
+
+    As in the library, the colour range spans the finite cells and a
+    non-finite cell gets no `<rect>`.
+    """
+    xs = [float(v) for v in x]
+    ys = [float(v) for v in y]
+    if len(z) != len(ys) or any(len(row) != len(xs) for row in z):
+        raise ValueError("z must be len(y) x len(x)")
+    flat = [float(v) for row in z for v in row if math.isfinite(v)]
+    if not flat:
+        raise ValueError("nothing to plot")
+    z_lo, z_hi = min(flat), max(flat)
+    span = (z_hi - z_lo) or 1.0
+    plot_w = WIDTH - MARGIN_L - MARGIN_R
+    plot_h = HEIGHT - MARGIN_T - MARGIN_B
+    cell_w = plot_w / len(xs)
+    cell_h = plot_h / len(ys)
+
+    def to_px(px, py):
+        fx = (px - xs[0]) / ((xs[-1] - xs[0]) or 1.0)
+        fy = (py - ys[0]) / ((ys[-1] - ys[0]) or 1.0)
+        return MARGIN_L + fx * plot_w, HEIGHT - MARGIN_B - fy * plot_h
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+    ]
+    for iy, row in enumerate(z):
+        py = HEIGHT - MARGIN_B - (iy + 1) * cell_h
+        for ix, val in enumerate(row):
+            if not math.isfinite(val):
+                continue
+            px = MARGIN_L + ix * cell_w
+            parts.append(
+                f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(cell_w + 0.5)}" '
+                f'height="{_fmt(cell_h + 0.5)}" fill="{_color((float(val) - z_lo) / span)}"/>'
+            )
+    _axes(parts, xs[0], xs[-1], ys[0], ys[-1], x_label, y_label, to_px)
+    # color bar
+    bar_x = WIDTH - MARGIN_R + 30
+    steps = 40
+    for i in range(steps):
+        frac = i / (steps - 1)
+        by = HEIGHT - MARGIN_B - (i + 1) * plot_h / steps
+        parts.append(
+            f'<rect x="{bar_x}" y="{_fmt(by)}" width="18" height="{_fmt(plot_h / steps + 0.5)}" '
+            f'fill="{_color(frac)}"/>'
+        )
+    parts.append(f'<text x="{bar_x}" y="{MARGIN_T - 8}" font-size="11">{z_label}</text>')
+    parts.append(f'<text x="{bar_x + 24}" y="{HEIGHT - MARGIN_B}" font-size="10">{_fmt(z_lo)}</text>')
+    parts.append(f'<text x="{bar_x + 24}" y="{MARGIN_T + 10}" font-size="10">{_fmt(z_hi)}</text>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

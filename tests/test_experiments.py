@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import aoa_pla
-from aoa_pla import experiments
+import oracles
+from aoa_pla import experiments, svgfig
 from aoa_pla.arrays import ArrayGeometry, AttackerConfig, NoiseModel
 from aoa_pla.attack import mse_closed_form
 from aoa_pla.experiments import (
@@ -161,6 +162,21 @@ def test_reproduce_is_byte_identical(tmp_path):
         _, _, p2, s2 = reproduce(ExperimentConfig(fid, seed=4, overrides=ov, output_dir=str(out2)))
         assert p1.read_bytes() == p2.read_bytes()
         assert s1.read_bytes() == s2.read_bytes()
+
+
+@pytest.mark.parametrize("figure_id", FIGURE_IDS)
+def test_outputs_equal_the_scalar_oracles(figure_id, tmp_path, monkeypatch):
+    # compared in one process, not against pinned digests, because values
+    # move in their last bits across numpy and BLAS builds
+    cfg = ExperimentConfig(figure_id, overrides=CHEAP_OVERRIDES[figure_id], output_dir=str(tmp_path))
+    table, _, csv_path, svg_path = reproduce(cfg)
+    oracles.write_csv(table, tmp_path / "oracle.csv")
+    monkeypatch.setattr(svgfig, "line_chart", oracles.line_chart)
+    monkeypatch.setattr(svgfig, "surface_chart", oracles.surface_chart)
+    kind, x_col, y_cols, group = experiments.FIGURES[figure_id].plot
+    emit_plot(table, kind, tmp_path / "oracle.svg", x_col, y_cols, group)
+    assert csv_path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    assert svg_path.read_bytes() == (tmp_path / "oracle.svg").read_bytes()
 
 
 def test_different_seed_changes_simulated_output(tmp_path):
