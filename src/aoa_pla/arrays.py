@@ -7,6 +7,9 @@ and the MUSIC manifold). Noise is circularly symmetric complex Gaussian, scaled
 so the expected total noise energy across the array equals ``1/snr``
 (total-array SNR convention; per-element variance is ``1/(M*snr)``).
 
+An attacker is its antennas' arrival angles and complex precoders q, held
+bit for bit; polar form ``beta * exp(1j*phi)`` enters only through `_precoders`.
+
 `synthesize_legitimate` and `synthesize_attack` draw snapshot blocks, which
 `synth`, `music` and `verify` write, read and check. `synthesize_covariance`
 draws the sample covariance of such a block from its sufficient statistics
@@ -17,8 +20,9 @@ FAR/FRR sweep use it.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,8 +40,13 @@ def derive_rng(seed, *key):
 
 
 def _precoders(betas, phis):
-    """beta * e^{j*phi}, broadcast, with phi wrapped to [0, 2*pi) as AttackerConfig stores it."""
-    return np.asarray(betas, dtype=float) * np.exp(1j * (np.asarray(phis) % TWO_PI))
+    """beta * e^{j*phi}, broadcast, phi wrapped to [0, 2*pi): the one polar-to-complex conversion; beta >= 0."""
+    betas = np.asarray(betas, dtype=float)
+    if np.any(betas < 0):
+        raise ValueError("precoder amplitudes must be >= 0")
+    phis = np.asarray(phis) % TWO_PI
+    # phi % 2*pi rounds to 2*pi itself for a phi just below 0; that phase is 0
+    return betas * np.exp(1j * np.where(phis == TWO_PI, 0.0, phis))
 
 
 @dataclass(frozen=True)
@@ -111,53 +120,30 @@ def _db_to_linear(db):
 
 @dataclass(frozen=True)
 class AttackerConfig:
-    """L adversary antennas: arrival angles and complex precoders.
-
-    Precoder i is ``beta[i] * exp(1j * phi[i])`` with beta >= 0 and phi
-    stored wrapped to [0, 2*pi).
-    """
+    """L adversary antennas: arrival angles and complex precoders q, held as given."""
 
     angles: tuple
-    betas: tuple
-    phis: tuple
+    precoders: tuple
 
     def __post_init__(self):
         angles = tuple(float(a) for a in self.angles)
-        betas = tuple(float(b) for b in self.betas)
-        phis = tuple(float(p) % TWO_PI for p in self.phis)
-        if not (len(angles) == len(betas) == len(phis)):
-            raise ValueError("angles, betas, phis must have equal length")
-        if len(angles) < 1:
+        precoders = tuple(complex(q) for q in self.precoders)
+        if len(angles) != len(precoders):
+            raise ValueError("angles and precoders must have equal length")
+        if not angles:
             raise ValueError("attacker needs at least one antenna")
-        for seq in (angles, betas, phis):
-            if not all(math.isfinite(v) for v in seq):
-                raise ValueError("attacker parameters must be finite")
-        if any(b < 0 for b in betas):
-            raise ValueError("precoder amplitudes must be >= 0")
+        if not (all(map(math.isfinite, angles)) and all(map(cmath.isfinite, precoders))):
+            raise ValueError("attacker parameters must be finite")
         object.__setattr__(self, "angles", angles)
-        object.__setattr__(self, "betas", betas)
-        object.__setattr__(self, "phis", phis)
-
-    @classmethod
-    def from_precoders(cls, angles, precoders):
-        qs = [complex(q) for q in precoders]
-        return cls(
-            tuple(angles),
-            tuple(abs(q) for q in qs),
-            tuple(math.atan2(q.imag, q.real) % TWO_PI for q in qs),
-        )
+        object.__setattr__(self, "precoders", precoders)
 
     @classmethod
     def single(cls, angle, beta=1.0, phi=0.0):
-        return cls((angle,), (beta,), (phi,))
+        return cls((angle,), _precoders((beta,), (phi,)))
 
     @property
     def num_antennas(self):
         return len(self.angles)
-
-    @property
-    def precoders(self):
-        return _precoders(self.betas, self.phis)
 
 
 @dataclass(frozen=True)
@@ -193,7 +179,7 @@ def steering_vector(geom, angles):
 def attack_wavefront(geom, attacker):
     """A q = sum_i q_i a(theta_hat_i), the attacker's noiseless array response."""
     # initial=0.0 starts the sum from +0, as an accumulation loop does
-    return np.sum(attacker.precoders[:, None] * steering_vector(geom, attacker.angles), axis=0, initial=0.0)
+    return np.sum(np.asarray(attacker.precoders)[:, None] * steering_vector(geom, attacker.angles), axis=0, initial=0.0)
 
 
 def _noise_block(rng, num_elements, num_snapshots, snr):

@@ -93,9 +93,12 @@ def read_signal_block(path):
 
 def _parse_seed(text):
     """An integer >= 0, the seed rule `reproduce` applies."""
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text}")
-    return int(text)
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text}")
 
 
 def _add_synth_flags(parser, angles):

@@ -186,9 +186,7 @@ def _best_case_precoders(nums):
 def run_fig2(config):
     """Mean MUSIC estimates for Alice and Eve across SNR and array size."""
     p = config.params()
-    attacker = AttackerConfig(
-        (p["theta_hat"], p["theta_hat"]), (0.5, 0.5), (0.0, 0.0)
-    )
+    attacker = AttackerConfig((p["theta_hat"], p["theta_hat"]), (0.5, 0.5))
     points = list(itertools.product(p["num_rx_antennas"], p["snr_db"]))
     # est[point, side, trial]; a degenerate trial is nan, so its point's means are nan
     est = np.stack([
@@ -252,7 +250,7 @@ def run_fig3(config):
     theory = mse_delta(geom, p["theta"], (p["theta"], p["theta"]), precoders) + noise.floor
     sim = np.empty(theory.shape + (2,))
     for pair_idx, k in np.ndindex(theory.shape):
-        attacker = AttackerConfig((p["theta"], p["theta"]), p["beta_pairs"][pair_idx], (phis[k], phis[k]))
+        attacker = AttackerConfig((p["theta"], p["theta"]), precoders[pair_idx, k])
         sim[pair_idx, k] = monte_carlo_mse(
             geom, p["theta"], attacker, noise, p["trials"], derive_rng(config.seed, pair_idx, k)
         )
@@ -439,7 +437,7 @@ def run_fig7(config):
     sim = np.empty(theory.shape + (2,))
     for cond, idx in np.ndindex(theory.shape):
         num = nums[idx]
-        attacker = AttackerConfig.from_precoders((theta_hats[cond],) * num, precoders[idx, :num])
+        attacker = AttackerConfig((theta_hats[cond],) * num, precoders[idx, :num])
         sim[cond, idx] = monte_carlo_mse(
             geom, p["theta"], attacker, noise, p["trials"], derive_rng(config.seed, idx, cond)
         )
@@ -582,7 +580,7 @@ def emit_plot(table, kind, path, x_column, y_columns=None, group_by=None):
             groups = {None: np.arange(len(xs))}
         else:
             gvals = _column(table, group_by)
-            groups = {g: np.flatnonzero(gvals == g) for g in sorted(set(gvals.tolist()), key=str)}
+            groups = {g: np.flatnonzero(gvals == g) for g in sorted(set(gvals.tolist()))}
         series, x_axis = {}, []
         for gval, idxs in groups.items():
             order = idxs[np.argsort(xs[idxs], kind="stable")]

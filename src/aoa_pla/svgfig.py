@@ -80,6 +80,12 @@ def _first_extremes(values):
     return float(values[values.argmin()]), float(values[values.argmax()])
 
 
+def _check_range(axis, lo, hi, pad=0.0):
+    """ValueError unless [lo - pad, hi + pad], the range a chart spans, has a finite float span."""
+    if not math.isfinite((hi + pad) - (lo - pad)):
+        raise ValueError(f"{axis} range [{lo!r}, {hi!r}] overflows: its span is not a finite float")
+
+
 def _axes(parts, x_lo, x_hi, y_lo, y_hi, x_label, y_label, to_px):
     parts.append(
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{WIDTH - MARGIN_L - MARGIN_R}" '
@@ -123,6 +129,8 @@ def line_chart(x, series, x_label="", y_label=""):
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
     pad = 0.05 * (y_hi - y_lo)
+    _check_range("x", x_lo, x_hi)
+    _check_range("y", y_lo, y_hi, pad)
     y_lo -= pad
     y_hi += pad
 
@@ -174,6 +182,8 @@ def surface_chart(x, y, z, x_label="", y_label="", z_label=""):
     if not values.size:
         raise ValueError("nothing to plot")
     z_lo, z_hi = _first_extremes(values)
+    for axis, lo, hi in (("x", xs[0], xs[-1]), ("y", ys[0], ys[-1]), ("z", z_lo, z_hi)):
+        _check_range(axis, lo, hi)
     span = (z_hi - z_lo) or 1.0
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B

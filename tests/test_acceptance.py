@@ -73,7 +73,7 @@ def test_criterion_1_noise_floor_minimum():
     t0 = time.perf_counter()
     geom = ArrayGeometry(16)
     noise = NoiseModel.from_db(15.0)
-    attacker = AttackerConfig((0.4, 0.4), (0.5, 0.5), (0.0, 0.0))
+    attacker = AttackerConfig((0.4, 0.4), (0.5, 0.5))
     expected = 2.0 * 10.0 ** -1.5
     zeta = mse_closed_form(geom, 0.4, attacker, noise).zeta
     sim, _ = monte_carlo_mse(geom, 0.4, attacker, noise, 10000, 0)
@@ -156,8 +156,8 @@ def test_criterion_5_l_invariance():
     aligned = []
     misaligned = []
     for num in range(1, 33):
-        best = AttackerConfig((theta,) * num, (1.0 / num,) * num, (0.0,) * num)
-        off = AttackerConfig((theta + 0.2,) * num, (1.0 / num,) * num, (0.0,) * num)
+        best = AttackerConfig((theta,) * num, (1.0 / num,) * num)
+        off = AttackerConfig((theta + 0.2,) * num, (1.0 / num,) * num)
         aligned.append(mse_closed_form(geom, theta, best, noise).zeta)
         misaligned.append(mse_closed_form(geom, theta, off, noise).zeta)
     spread = max(aligned) - min(aligned)
@@ -172,7 +172,7 @@ def test_criterion_5_l_invariance():
 
 def test_criterion_6_snr_monotonicity():
     geom = ArrayGeometry(16)
-    attacker = AttackerConfig((0.4, 0.4), (0.5, 0.5), (0.0, 0.0))
+    attacker = AttackerConfig((0.4, 0.4), (0.5, 0.5))
     zetas = []
     for snr_eve in (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0):
         noise = NoiseModel.from_db(15.0, snr_eve)
@@ -407,7 +407,7 @@ def test_criterion_10_protocol_restatement():
     naive_ok = far_naive <= 0.01
 
     # attacker satisfying the noise-floor optimum conditions
-    optimal = AttackerConfig((theta, math.pi - theta), (0.5, 0.5), (0.0, 0.0))
+    optimal = AttackerConfig((theta, math.pi - theta), (0.5, 0.5))
     [(_, far_opt, frr_opt)] = far_frr_sweep(
         geom, theta, optimal, noise, [threshold], trials, seed=11
     )

@@ -12,6 +12,7 @@ from aoa_pla.arrays import (
     AttackerConfig,
     NoiseModel,
     SignalBlock,
+    _precoders,
     attack_wavefront,
     derive_rng,
     steering_vector,
@@ -19,6 +20,7 @@ from aoa_pla.arrays import (
     synthesize_covariance,
     synthesize_legitimate,
 )
+from aoa_pla.attack import mse_closed_form, mse_delta
 from aoa_pla.music import sample_covariance
 
 
@@ -79,13 +81,13 @@ def _attackers(draw):
     # one of the two amplitude strategies is exactly zero, so zero precoders (and signed zeros) occur
     betas = draw(st.lists(st.just(0.0) | st.floats(0.0, 2.0), min_size=size, max_size=size))
     phis = draw(st.lists(st.floats(0.0, 7.0), min_size=size, max_size=size))
-    return AttackerConfig(angles, betas, phis)
+    return AttackerConfig(angles, _precoders(betas, phis))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 33), st.floats(0.1, 2.0), _attackers())
-@example(5, 0.5, AttackerConfig((0.3,), (0.0,), (2.0,)))
-@example(5, 0.5, AttackerConfig((0.3,) * 32, (0.0,) * 32, (2.0,) * 32))
+@example(5, 0.5, AttackerConfig((0.3,), _precoders((0.0,), (2.0,))))
+@example(5, 0.5, AttackerConfig((0.3,) * 32, _precoders((0.0,) * 32, (2.0,) * 32)))
 def test_attack_wavefront_bit_equal_to_per_antenna_loop(m, spacing, attacker):
     geom = ArrayGeometry(m, spacing)
     assert np.array_equal(_bits(attack_wavefront(geom, attacker)), _bits(_wavefront_loop(geom, attacker)))
@@ -151,28 +153,47 @@ def test_noise_model_validation():
         NoiseModel(math.nan, 1.0)
 
 
-def test_attacker_config_wraps_phases():
-    att = AttackerConfig((0.1, 0.2), (1.0, 2.0), (-0.5, 7.0))
-    assert att.phis[0] == pytest.approx(2.0 * math.pi - 0.5)
-    assert att.phis[1] == pytest.approx(7.0 - 2.0 * math.pi)
+def test_precoders_wrap_phases():
+    wrapped = (2.0 * math.pi - 0.5, 7.0 - 2.0 * math.pi)
+    q = _precoders((1.0, 2.0), (-0.5, 7.0))
+    assert np.array_equal(_bits(q), _bits(_precoders((1.0, 2.0), wrapped)))
+    assert np.allclose(q, np.array([1.0, 2.0]) * np.exp(1j * np.array(wrapped)), rtol=0.0, atol=1e-15)
+    att = AttackerConfig((0.1, 0.2), q)
     assert att.num_antennas == 2
+    # -1e-20 % 2*pi rounds to 2*pi, which must wrap on to 0
+    assert np.array_equal(_bits(_precoders((1.0,), (-1e-20,))), _bits((1.0 + 0.0j,)))
 
 
-def test_attacker_config_from_precoders_roundtrip():
-    precoders = [0.5 - 0.25j, -0.3 + 0.1j]
-    att = AttackerConfig.from_precoders((0.1, 0.2), precoders)
-    assert np.allclose(att.precoders, precoders, atol=1e-15)
+_finite_complex = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 33),
+    st.floats(-1.5, 1.5),
+    st.lists(st.tuples(st.floats(-math.pi, math.pi), _finite_complex), min_size=1, max_size=8),
+)
+def test_attacker_config_holds_precoders_bit_for_bit(m, theta, antennas):
+    angles, q = zip(*antennas)
+    att = AttackerConfig(angles, q)
+    assert np.array_equal(_bits(att.precoders), _bits(q))
+    geom = ArrayGeometry(m)
+    assert mse_closed_form(geom, theta, att, NoiseModel.noiseless()).delta == mse_delta(geom, theta, angles, q)
 
 
 def test_attacker_config_validation():
     with pytest.raises(ValueError):
-        AttackerConfig((0.1,), (1.0, 2.0), (0.0,))
+        AttackerConfig((0.1,), (1.0, 2.0))
     with pytest.raises(ValueError):
-        AttackerConfig((), (), ())
+        AttackerConfig((), ())
+    with pytest.raises(ValueError, match="amplitudes must be >= 0"):
+        _precoders((-1.0,), (0.0,))
+    with pytest.raises(ValueError, match="amplitudes must be >= 0"):
+        AttackerConfig.single(0.1, -1.0)
     with pytest.raises(ValueError):
-        AttackerConfig((0.1,), (-1.0,), (0.0,))
+        AttackerConfig((math.inf,), (1.0,))
     with pytest.raises(ValueError):
-        AttackerConfig((math.inf,), (1.0,), (0.0,))
+        AttackerConfig((0.1,), (complex(1.0, math.nan),))
 
 
 def test_signal_block_validation():
@@ -192,7 +213,7 @@ def test_noiseless_legitimate_block_is_pure_steering():
 
 def test_noiseless_attack_block_is_precoded_sum():
     geom = ArrayGeometry(6)
-    att = AttackerConfig.from_precoders((0.1, -0.4), [0.7 + 0.2j, 0.3 - 0.2j])
+    att = AttackerConfig((0.1, -0.4), [0.7 + 0.2j, 0.3 - 0.2j])
     block = synthesize_attack(geom, att, NoiseModel.noiseless(), 3, 0)
     expected = sum(
         q * steering_vector(geom, ang) for ang, q in zip(att.angles, att.precoders)
@@ -250,7 +271,7 @@ def test_synthesized_covariance_matches_snapshot_covariance_in_distribution():
     # 5 scenarios x 10 columns: a Sidak bound at family-wise alpha = 0.001.
     geom = ArrayGeometry(4)
     noise = NoiseModel.from_db(-10.0, -3.0)
-    attacker = AttackerConfig.from_precoders((0.1, -0.4), [0.7 + 0.2j, 0.3 - 0.2j])
+    attacker = AttackerConfig((0.1, -0.4), [0.7 + 0.2j, 0.3 - 0.2j])
     legit = (steering_vector(geom, 0.3), noise.snr_legit, synthesize_legitimate, 0.3)
     attack = (attack_wavefront(geom, attacker), noise.snr_attacker, synthesize_attack, attacker)
     scenarios = [(legit, 1), (legit, 2), (legit, 3), (legit, 50), (attack, 3)]
@@ -271,7 +292,7 @@ def test_synthesized_covariance_matches_snapshot_covariance_in_distribution():
 
 def test_synthesized_covariance_noiseless_is_outer_product():
     geom = ArrayGeometry(5)
-    attacker = AttackerConfig.from_precoders((0.1, -0.4), [0.7 + 0.2j, 0.3 - 0.2j])
+    attacker = AttackerConfig((0.1, -0.4), [0.7 + 0.2j, 0.3 - 0.2j])
     for w in (steering_vector(geom, 0.3), attack_wavefront(geom, attacker)):
         for n in (1, 2, 5, 50):
             cov = synthesize_covariance(geom, w, math.inf, n, 3)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aoa_pla.arrays import ArrayGeometry, AttackerConfig, NoiseModel, steering_vector
+from aoa_pla.arrays import ArrayGeometry, AttackerConfig, NoiseModel, _precoders, steering_vector
 from aoa_pla.attack import (
     dirichlet_ratio,
     gram_matrix,
@@ -203,8 +203,7 @@ def test_closed_form_matches_brute_force_multi():
         num = int(rng.integers(1, 5))
         att = AttackerConfig(
             tuple(rng.uniform(-math.pi, math.pi, size=num)),
-            tuple(rng.uniform(0.0, 1.5, size=num)),
-            tuple(rng.uniform(0.0, 2.0 * math.pi, size=num)),
+            _precoders(rng.uniform(0.0, 1.5, size=num), rng.uniform(0.0, 2.0 * math.pi, size=num)),
         )
         theta = float(rng.uniform(-math.pi / 2, math.pi / 2))
         got = mse_closed_form(geom, theta, att, noise)
@@ -233,7 +232,7 @@ def _attack_scenarios(draw):
             angles.append(draw(st.floats(-math.pi, math.pi)))
     betas = [draw(st.floats(0.0, 2.0)) for _ in angles]
     phis = [draw(st.floats(0.0, 2.0 * math.pi)) for _ in angles]
-    return geom, theta, AttackerConfig(tuple(angles), tuple(betas), tuple(phis))
+    return geom, theta, AttackerConfig(tuple(angles), _precoders(betas, phis))
 
 
 @settings(max_examples=300, deadline=None)
@@ -261,7 +260,7 @@ def test_mse_delta_broadcasts_over_sweep_axes():
     assert got.shape == (4, 5)
     for i in range(4):
         for j in range(5):
-            att = AttackerConfig.from_precoders(angles[i, j], precoders[j])
+            att = AttackerConfig(angles[i, j], precoders[j])
             want = brute_delta_multi(geom, float(thetas[i, 0]), att)
             assert got[i, j] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -274,12 +273,12 @@ def test_closed_form_single_reduction():
     want = mse_delta_single(geom, 0.5, 0.2, 0.7, 1.1)
     assert got.zeta == pytest.approx(want, abs=1e-10)
     assert got.alpha == pytest.approx(math.sin(0.5) - math.sin(0.2), abs=1e-15)
-    multi = mse_closed_form(geom, 0.5, AttackerConfig((0.2, 0.3), (0.5, 0.5), (0.0, 0.0)), noise)
+    multi = mse_closed_form(geom, 0.5, AttackerConfig((0.2, 0.3), (0.5, 0.5)), noise)
     assert multi.alpha is None
 
 
 def test_aggregate_precoder_and_optimum_condition():
-    att = AttackerConfig((0.4, math.pi - 0.4), (0.5, 0.5), (0.0, 0.0))
+    att = AttackerConfig((0.4, math.pi - 0.4), (0.5, 0.5))
     check = multi_optimum_condition(att, 0.4)
     assert check.aggregate.real == pytest.approx(1.0, abs=1e-15)
     assert check.aggregate.imag == pytest.approx(0.0, abs=1e-15)
@@ -297,7 +296,7 @@ def test_aggregate_precoder_and_optimum_condition():
 def test_optimum_condition_attains_noise_floor():
     geom = ArrayGeometry(16)
     noise = NoiseModel.from_db(15.0)
-    att = AttackerConfig((0.4, math.pi - 0.4, 0.4), (0.25, 0.25, 0.5), (0.0, 0.0, 0.0))
+    att = AttackerConfig((0.4, math.pi - 0.4, 0.4), (0.25, 0.25, 0.5))
     assert multi_optimum_condition(att, 0.4).satisfied
     assert mse_closed_form(geom, 0.4, att, noise).zeta == pytest.approx(noise.floor, abs=1e-12)
 
@@ -308,7 +307,7 @@ def test_non_aliased_attacker_reaches_zero_delta():
     angles = (0.1, 0.7, -0.5, 1.2)
     a_matrix = np.stack([steering_vector(geom, angle) for angle in angles], axis=1)
     q = np.linalg.lstsq(a_matrix, steering_vector(geom, 0.4), rcond=None)[0]
-    att = AttackerConfig.from_precoders(angles, q)
+    att = AttackerConfig(angles, q)
     assert mse_delta(geom, 0.4, att.angles, att.precoders) <= 1e-20
     assert not multi_optimum_condition(att, 0.4).satisfied
 
@@ -324,7 +323,7 @@ def test_monte_carlo_noiseless_equals_closed_form():
 
 def test_monte_carlo_matches_theory_within_error():
     geom = ArrayGeometry(16)
-    att = AttackerConfig((0.4, 0.4), (0.5, 0.5), (0.0, 0.0))
+    att = AttackerConfig((0.4, 0.4), (0.5, 0.5))
     noise = NoiseModel.from_db(15.0)
     mean, stderr = monte_carlo_mse(geom, 0.4, att, noise, 20000, 1)
     theory = mse_closed_form(geom, 0.4, att, noise).zeta
@@ -351,7 +350,7 @@ ASYMMETRIC_SNRS = [
     pytest.param(math.inf, 10.0, id="legit-noiseless-attacker10dB"),
     pytest.param(10.0, math.inf, id="legit10dB-attacker-noiseless"),
 ]
-MISALIGNED = AttackerConfig((0.4, 0.45), (0.5, 0.5), (0.0, 0.3))
+MISALIGNED = AttackerConfig((0.4, 0.45), _precoders((0.5, 0.5), (0.0, 0.3)))
 
 
 @pytest.mark.parametrize("snr_legit, snr_attacker", ASYMMETRIC_SNRS)
@@ -409,6 +408,6 @@ def test_best_case_zeta_independent_of_num_antennas():
     noise = NoiseModel.from_db(15.0)
     values = []
     for num in (1, 2, 5, 12):
-        att = AttackerConfig((0.4,) * num, (1.0 / num,) * num, (0.0,) * num)
+        att = AttackerConfig((0.4,) * num, (1.0 / num,) * num)
         values.append(mse_closed_form(geom, 0.4, att, noise).zeta)
     assert max(values) - min(values) <= 1e-12

@@ -299,10 +299,25 @@ def test_cli_negative_seed_names_the_flag(tmp_path, capsys):
         ["synth", "--out", str(tmp_path / "blk.txt")],
         ["sweep-far-frr", "--theta-hat", "0.2", "--thresholds", "0.1", "--trials", "2"],
     ):
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--seed", "-1"])
-        assert exc.value.code == 2
-        assert "argument --seed: seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        # a non-integer seed gets the same rule, not argparse's message naming the parser function
+        for seed in ("-1", "1.5", "x"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--seed", seed])
+            assert exc.value.code == 2
+            assert f"argument --seed: seed must be an integer >= 0, got {seed}\n" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_negative_precoder_amplitude_exits_2_and_writes_nothing(tmp_path, capsys):
+    for argv in (
+        ["reproduce", "fig3d_same", "--out", str(tmp_path), "--set", "betas=-0.5,0.5"],
+        ["reproduce", "fig3", "--out", str(tmp_path), "--set", "beta_pairs=0.5,0.5;-0.3,0.3"],
+        ["synth", "--out", str(tmp_path / "blk.txt"), "--theta-hat", "0.2", "--beta", "-1"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: precoder amplitudes must be >= 0\n"
+        assert captured.out == ""
     assert not list(tmp_path.iterdir())
 
 

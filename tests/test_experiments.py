@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import aoa_pla
 import oracles
 from aoa_pla import experiments, svgfig
-from aoa_pla.arrays import ArrayGeometry, AttackerConfig, NoiseModel
+from aoa_pla.arrays import ArrayGeometry, AttackerConfig, NoiseModel, _precoders
 from aoa_pla.attack import mse_closed_form
 from aoa_pla.experiments import (
     FIGURE_IDS,
@@ -186,6 +187,12 @@ def test_different_seed_changes_simulated_output(tmp_path):
     assert p1.read_bytes() != p2.read_bytes()
 
 
+def test_line_legend_lists_groups_in_numeric_order(tmp_path):
+    _, _, _, svg_path = reproduce(ExperimentConfig("fig5", output_dir=str(tmp_path)))
+    legend = re.findall(r">zeta \[num_attacker_antennas=(\d+)\]</text>", svg_path.read_text())
+    assert legend == ["1", "2", "4", "12"]
+
+
 def test_emit_plot_unknown_column(tmp_path):
     table = run_figure(ExperimentConfig("fig5"))
     with pytest.raises(KeyError, match="nope"):
@@ -269,13 +276,13 @@ def _per_point_zeta(figure_id, p):
     geom = ArrayGeometry(p["num_rx_antennas"])
 
     def best_case(angle, num):
-        return AttackerConfig((angle,) * num, (1.0 / num,) * num, (0.0,) * num)
+        return AttackerConfig((angle,) * num, (1.0 / num,) * num)
 
     if figure_id == "fig3":
         noise = NoiseModel.from_db(p["snr_db"])
         phis = np.linspace(0.0, 2.0 * math.pi, p["phi_points"])
         attackers = [
-            AttackerConfig((p["theta"],) * 2, pair, (phi, phi)) for pair in p["beta_pairs"] for phi in phis
+            AttackerConfig((p["theta"],) * 2, _precoders(pair, (phi, phi))) for pair in p["beta_pairs"] for phi in phis
         ]
         return [mse_closed_form(geom, p["theta"], att, noise).zeta for att in attackers]
     if figure_id == "fig7":
@@ -288,7 +295,7 @@ def _per_point_zeta(figure_id, p):
     if figure_id in ("fig3d_same", "fig3d_diff"):
         noise = NoiseModel.from_db(p["snr_db"])
         phis = np.linspace(0.0, 2.0 * math.pi, p["phi_points"])
-        attackers = [AttackerConfig(p["theta_hats"], p["betas"], (a, b)) for a in phis for b in phis]
+        attackers = [AttackerConfig(p["theta_hats"], _precoders(p["betas"], (a, b))) for a in phis for b in phis]
         return [mse_closed_form(geom, p["theta"], att, noise).zeta for att in attackers]
     if figure_id == "fig5":
         return [

@@ -320,7 +320,7 @@ def test_run_fig2_matches_uncached_reference(monkeypatch):
     overrides = dict(trials=3, num_snapshots=100, snr_db=(-10.0, 15.0), num_rx_antennas=(2, 16))
     config = ExperimentConfig("fig2", seed=4, overrides=overrides)
     p = config.params()
-    attacker = AttackerConfig((p["theta_hat"],) * 2, (0.5, 0.5), (0.0, 0.0))
+    attacker = AttackerConfig((p["theta_hat"],) * 2, (0.5, 0.5))
 
     def reference_estimate(cov, geom):
         _, _, peaks = _uncached_pseudospectrum(cov, geom, p["grid_step"], 1)

@@ -93,6 +93,23 @@ def test_surface_chart_without_finite_cells_has_nothing_to_plot():
         svgfig.surface_chart([0.0, 1.0], [0.0], [[1.0, 2.0, 3.0]])
 
 
+def test_surface_chart_rejects_an_overflowing_range():
+    with pytest.raises(ValueError, match=r"z range \[-1e\+308, 1e\+308\] overflows"):
+        svgfig.surface_chart([0.0, 1.0], [0.0], [[-1e308, 1e308]])
+    with pytest.raises(ValueError, match=r"x range \[-1e\+308, 1e\+308\] overflows"):
+        svgfig.surface_chart([-1e308, 1e308], [0.0], [[1.0, 2.0]])
+
+
+def test_line_chart_rejects_an_overflowing_range():
+    with pytest.raises(ValueError, match=r"y range \[-1e\+308, 1e\+308\] overflows"):
+        svgfig.line_chart([0.0, 1.0], {"a": [-1e308, 1e308]})
+    with pytest.raises(ValueError, match=r"x range \[-1e\+308, 1e\+308\] overflows"):
+        svgfig.line_chart([-1e308, 1e308], {"a": [0.0, 1.0]})
+    # the data span is finite, but the 5% padding at each end overflows it
+    with pytest.raises(ValueError, match="y range .* overflows"):
+        svgfig.line_chart([0.0, 1.0], {"a": [-8.5e307, 8.5e307]})
+
+
 def test_line_chart_matches_scalar_oracle():
     x = [1, 2, 3, 4, 5]
     series = {"a": [0.5, math.nan, 1.5, -0.0, 2.0], "b": [math.inf, 3.0, 0.0, -1.0, math.nan], "c": [math.nan] * 5}
