@@ -17,22 +17,14 @@ from .arrays import (
 )
 from .attack import (
     MseBreakdown,
-    OptimalSinglePrecoder,
-    OptimumCheck,
-    dirichlet_ratio,
-    gram_matrix,
     monte_carlo_mse,
     mse_closed_form,
     mse_delta,
-    mse_delta_single,
-    mse_gradient_single,
-    multi_optimum_condition,
-    optimal_single_precoder,
+    optimal_precoders,
 )
 from .auth import (
     AoaProfile,
     AuthDecision,
-    default_threshold,
     enroll,
     far_frr_sweep,
     load_acl,
@@ -73,20 +65,12 @@ __all__ = [
     "synthesize_covariance",
     "synthesize_legitimate",
     "MseBreakdown",
-    "OptimalSinglePrecoder",
-    "OptimumCheck",
-    "dirichlet_ratio",
-    "gram_matrix",
     "monte_carlo_mse",
     "mse_closed_form",
     "mse_delta",
-    "mse_delta_single",
-    "mse_gradient_single",
-    "multi_optimum_condition",
-    "optimal_single_precoder",
+    "optimal_precoders",
     "AoaProfile",
     "AuthDecision",
-    "default_threshold",
     "enroll",
     "far_frr_sweep",
     "load_acl",

@@ -39,14 +39,19 @@ def derive_rng(seed, *key):
     return np.random.default_rng(ss)
 
 
+def _wrap_phase(phis):
+    """Phases wrapped to [0, 2*pi)."""
+    phis = np.asarray(phis) % TWO_PI
+    # phi % 2*pi rounds to 2*pi itself for a phi just below 0; that phase is 0
+    return np.where(phis == TWO_PI, 0.0, phis)
+
+
 def _precoders(betas, phis):
     """beta * e^{j*phi}, broadcast, phi wrapped to [0, 2*pi): the one polar-to-complex conversion; beta >= 0."""
     betas = np.asarray(betas, dtype=float)
     if np.any(betas < 0):
         raise ValueError("precoder amplitudes must be >= 0")
-    phis = np.asarray(phis) % TWO_PI
-    # phi % 2*pi rounds to 2*pi itself for a phi just below 0; that phase is 0
-    return betas * np.exp(1j * np.where(phis == TWO_PI, 0.0, phis))
+    return betas * np.exp(1j * _wrap_phase(phis))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Closed-form impersonation MSE and attacker-precoder optimization.
+"""Closed-form impersonation MSE and the least-squares attacker optimum.
 
 The MSE between the legitimate and adversarial signals at Bob is
 
@@ -7,11 +7,11 @@ The MSE between the legitimate and adversarial signals at Bob is
 
 with a the legitimate steering vector, A the stacked attacker steering
 vectors, q the complex precoders and G = A^H A. The deterministic part
-delta = ||a - A q||^2 (everything except the noise floor) vanishes when
-all attacker angles alias the legitimate one (sin equality) and the
-precoders sum to 1. That condition is sufficient, not necessary: when
-the attacker's L >= M steering vectors span C^M, a least-squares q solves
-A q = a and reaches delta = 0 with no angle aliased.
+delta = ||a - A q||^2 (everything except the noise floor) can vanish only
+when a lies in the span of the attacker's steering vectors: one antenna on
+a sine alias of the legitimate angle, or L >= M antennas whose steering
+vectors span C^M. `optimal_precoders` gives the least-squares q, its delta
+and the rank of A.
 
 `mse_delta` evaluates delta in the direct form, batched over sweep
 points. The paper's expanded form (`gram_matrix`, `dirichlet_ratio`) is
@@ -23,23 +23,17 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .arrays import TWO_PI, attack_wavefront, steering_vector
+from .arrays import attack_wavefront, steering_vector
 
 __all__ = [
     "MseBreakdown",
-    "OptimalSinglePrecoder",
-    "OptimumCheck",
-    "dirichlet_ratio",
     "mse_delta",
     "mse_closed_form",
-    "mse_delta_single",
-    "mse_gradient_single",
-    "optimal_single_precoder",
-    "gram_matrix",
-    "multi_optimum_condition",
+    "optimal_precoders",
     "monte_carlo_mse",
 ]
 
@@ -57,26 +51,6 @@ class MseBreakdown:
     noise_floor: float
     alpha: float | None = None
 
-
-@dataclass(frozen=True)
-class OptimalSinglePrecoder:
-    beta_star: float
-    phi_star: float
-    branch: int  # integer u in phi = -(M-1)*kappa*alpha/2 + u*pi
-    hessian_det: float
-    zeta_at_opt: float
-
-
-@dataclass(frozen=True)
-class OptimumCheck:
-    satisfied: bool
-    angles_aligned: bool
-    precoder_sum_ok: bool
-    aggregate: complex  # sum of the precoders
-    detail: str
-
-
-_ALIAS_TOL = 1e-12
 
 # pi = _PI_HI + _PI_LO to ~1e-26; _PI_HI has 32 significant bits, so
 # k * _PI_HI is exact for |k| < 2**21 (element spacings below ~10**6 wavelengths)
@@ -103,53 +77,6 @@ def dirichlet_ratio(geom, alpha):
     if abs(s) < 1e-12:
         return sign * m * math.cos(m * y) / math.cos(y)
     return sign * math.sin(m * y) / s
-
-
-def mse_delta_single(geom, theta, theta_hat, beta, phi):
-    """Deterministic MSE part for a single-antenna attacker with q = beta*e^{j*phi}."""
-    m = geom.num_elements
-    alpha = math.sin(theta) - math.sin(theta_hat)
-    if alpha == 0.0:
-        return m * ((beta - math.cos(phi)) ** 2 + math.sin(phi) ** 2)
-    ratio = dirichlet_ratio(geom, alpha)
-    psi = 0.5 * (m - 1) * geom.wavenumber_scale * alpha + phi
-    return (beta * beta + 1.0) * m - 2.0 * beta * ratio * math.cos(psi)
-
-
-def mse_gradient_single(geom, theta, theta_hat, beta, phi):
-    """Analytic partials (d zeta / d beta, d zeta / d phi)."""
-    m = geom.num_elements
-    alpha = math.sin(theta) - math.sin(theta_hat)
-    ratio = dirichlet_ratio(geom, alpha)
-    psi = 0.5 * (m - 1) * geom.wavenumber_scale * alpha + phi
-    dbeta = 2.0 * beta * m - 2.0 * ratio * math.cos(psi)
-    dphi = 2.0 * beta * ratio * math.sin(psi)
-    return dbeta, dphi
-
-
-def optimal_single_precoder(geom, theta, theta_hat, noise=None):
-    """Attacker precoder minimizing the single-antenna MSE.
-
-    phi* = -(M-1)*kappa*alpha/2 + u*pi with the branch parity u chosen so
-    beta* >= 0. With aligned (or sine-aliased) angles this degenerates to
-    q = 1 and the noise floor. `zeta_at_opt` omits the noise floor when no
-    noise model is given.
-    """
-    m = geom.num_elements
-    alpha = math.sin(theta) - math.sin(theta_hat)
-    ratio = dirichlet_ratio(geom, alpha)
-    branch = 0 if ratio >= 0 else 1
-    beta = abs(ratio) / m
-    phi = (-0.5 * (m - 1) * geom.wavenumber_scale * alpha + branch * math.pi) % TWO_PI
-    delta = max(mse_delta_single(geom, theta, theta_hat, beta, phi), 0.0)
-    floor = noise.floor if noise is not None else 0.0
-    return OptimalSinglePrecoder(
-        beta_star=beta,
-        phi_star=phi,
-        branch=branch,
-        hessian_det=4.0 * ratio * ratio,
-        zeta_at_opt=delta + floor,
-    )
 
 
 def gram_matrix(geom, angles):
@@ -207,33 +134,31 @@ def mse_closed_form(geom, theta, attacker, noise):
     return MseBreakdown(zeta=delta + floor, delta=delta, noise_floor=floor, alpha=alpha)
 
 
-def multi_optimum_condition(attacker, theta):
-    """Whether the attacker meets the aliasing condition for the noise-floor MSE.
+class LeastSquaresOptimum(NamedTuple):
+    """`optimal_precoders`' result: q*, delta* = delta(q*) and the numerical rank of A."""
 
-    The condition is sin(theta_hat_i) = sin(theta) for every antenna and a
-    precoder sum of exactly 1 + 0j, both within `_ALIAS_TOL`. It is
-    sufficient, not necessary: an attacker whose steering vectors span C^M
-    can reach delta = 0 with no angle aliased, and then `satisfied` is
-    False.
+    precoders: np.ndarray
+    delta: np.ndarray
+    rank: np.ndarray
+
+
+def optimal_precoders(geom, theta, angles):
+    """Least-squares precoders q* = A^+ a(theta) of attacker antennas at `angles`, batched over sweep points.
+
+    A = [a(theta_hat_1) ... a(theta_hat_L)], so q* is the minimum-norm
+    minimiser of delta and delta* = delta(q*) is the least MSE part these
+    antennas can reach. `theta` has shape S and `angles` shape S + (L,),
+    leading axes broadcasting as in `mse_delta`. The pseudo-inverse and
+    the rank drop the same singular values of A: those at or below
+    max(M, L) * eps times the largest, the cutoff of
+    `numpy.linalg.matrix_rank`.
     """
-    target = math.sin(theta)
-    worst_gap = max(abs(math.sin(a) - target) for a in attacker.angles)
-    angles_ok = worst_gap <= _ALIAS_TOL
-    agg = complex(np.sum(attacker.precoders))
-    precoder_ok = abs(agg.real - 1.0) <= _ALIAS_TOL and abs(agg.imag) <= _ALIAS_TOL
-    if angles_ok and precoder_ok:
-        detail = "noise-floor optimum conditions satisfied"
-    elif not angles_ok:
-        detail = f"angle condition fails: max |sin(theta_hat) - sin(theta)| = {worst_gap:.3e}"
-    else:
-        detail = f"precoder condition fails: sum q = {agg.real:.12g} + {agg.imag:.12g}j != 1"
-    return OptimumCheck(
-        satisfied=angles_ok and precoder_ok,
-        angles_aligned=angles_ok,
-        precoder_sum_ok=precoder_ok,
-        aggregate=agg,
-        detail=detail,
-    )
+    angles = np.asarray(angles, dtype=float)
+    u, s, vh = np.linalg.svd(np.swapaxes(steering_vector(geom, angles), -1, -2), full_matrices=False)
+    keep = s > s[..., :1] * max(geom.num_elements, angles.shape[-1]) * np.finfo(float).eps
+    coeff = np.einsum("...mk,...m->...k", u.conj(), steering_vector(geom, theta))
+    q = np.einsum("...kl,...k->...l", vh.conj(), np.divide(coeff, s, out=np.zeros_like(coeff), where=keep))
+    return LeastSquaresOptimum(q, mse_delta(geom, theta, angles, q), np.count_nonzero(keep, axis=-1))
 
 
 def monte_carlo_mse(geom, theta, attacker, noise, trials, seed):

@@ -18,9 +18,6 @@ import numpy as np
 from .arrays import attack_wavefront, derive_rng, legitimate_wavefront, synthesize_covariance
 from .music import DEFAULT_GRID_STEP, DegenerateSpectrumError, estimate_aoa, estimate_aoa_from_covariance
 
-# absolute deviation threshold: 3 * spread + grid step, floored
-THRESHOLD_FLOOR = 0.02
-
 
 @dataclass(frozen=True)
 class AoaProfile:
@@ -52,10 +49,6 @@ def enroll(identity, estimates):
         enrollment_spread=spread,
         num_enrollment_estimates=len(estimates),
     )
-
-
-def default_threshold(profile, grid_step=DEFAULT_GRID_STEP):
-    return max(3.0 * profile.enrollment_spread + grid_step, THRESHOLD_FLOOR)
 
 
 def verify(profile, block, geom, threshold, grid_step=DEFAULT_GRID_STEP):

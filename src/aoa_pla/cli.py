@@ -18,8 +18,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrays import ArrayGeometry, AttackerConfig, NoiseModel, SignalBlock, synthesize_attack, synthesize_legitimate
-from .attack import mse_gradient_single, optimal_single_precoder
+from .arrays import (
+    ArrayGeometry,
+    AttackerConfig,
+    NoiseModel,
+    SignalBlock,
+    _wrap_phase,
+    synthesize_attack,
+    synthesize_legitimate,
+)
+from .attack import optimal_precoders
 from .auth import far_frr_sweep, load_acl, verify
 from .experiments import ExperimentConfig, reproduce
 from .music import DEFAULT_GRID_STEP, DegenerateSpectrumError, estimate_aoa, pseudospectrum, sample_covariance
@@ -171,16 +179,14 @@ def _parse_override_value(key, raw):
 def _cmd_attack_opt(args):
     geom = ArrayGeometry(args.num_antennas, args.spacing)
     noise = NoiseModel.from_db(args.snr_alice_db, args.snr_eve_db)
-    opt = optimal_single_precoder(geom, args.theta, args.theta_hat, noise)
-    grad = mse_gradient_single(geom, args.theta, args.theta_hat, opt.beta_star, opt.phi_star)
-    residual = math.hypot(*grad)
-    print(f"beta*        = {opt.beta_star!r}")
-    print(f"phi*         = {opt.phi_star!r}")
-    print(f"branch (u)   = {opt.branch}")
-    print(f"hessian det  = {opt.hessian_det!r}")
-    print(f"zeta*        = {opt.zeta_at_opt!r}")
-    print(f"floor gap    = {opt.zeta_at_opt - noise.floor!r}")
-    print(f"gradient res = {residual:.3e}")
+    opt = optimal_precoders(geom, args.theta, args.theta_hat)
+    betas, delta = np.abs(opt.precoders), float(opt.delta)
+    print(f"beta*        = {', '.join(map(repr, betas.tolist()))}")
+    print(f"phi*         = {', '.join(map(repr, _wrap_phase(np.angle(opt.precoders)).tolist()))}")
+    print(f"|q*|^2       = {float(betas @ betas)!r}")
+    print(f"rank         = {opt.rank}")
+    print(f"zeta*        = {delta + noise.floor!r}")
+    print(f"floor gap    = {delta!r}")
     return 0
 
 
@@ -261,16 +267,16 @@ def build_parser():
 
     p = sub.add_parser("reproduce", help="run a figure experiment, write CSV + SVG")
     p.add_argument("figure", help="figure id, e.g. fig3 or fig3d_same")
-    p.add_argument("--seed", type=int, default=0, help="integer >= 0 (default: %(default)s)")
+    p.add_argument("--seed", type=_parse_seed, default=0, help="integer >= 0 (default: %(default)s)")
     p.add_argument("--out", default=".", help="output directory (default: %(default)s)")
     p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a figure parameter")
     p.set_defaults(func=_cmd_reproduce)
 
-    p = sub.add_parser("attack-opt", help="optimal single-antenna attacker precoder")
+    p = sub.add_parser("attack-opt", help="least-squares attacker precoders and the MSE they reach")
     p.add_argument("--num-antennas", "--M", dest="num_antennas", type=int, required=True)
     p.add_argument("--spacing", type=float, default=0.5)
     p.add_argument("--theta", type=_parse_angle, required=True)
-    p.add_argument("--theta-hat", type=_parse_angle, required=True)
+    p.add_argument("--theta-hat", type=_parse_angles, required=True, help="comma-separated attacker antenna angles")
     p.add_argument("--snr-alice-db", type=float, default=15.0)
     p.add_argument("--snr-eve-db", type=float, default=15.0)
     p.set_defaults(func=_cmd_attack_opt)

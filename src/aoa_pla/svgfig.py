@@ -86,6 +86,15 @@ def _check_range(axis, lo, hi, pad=0.0):
         raise ValueError(f"{axis} range [{lo!r}, {hi!r}] overflows: its span is not a finite float")
 
 
+def _widen(axis, lo, hi):
+    """(lo, hi), a constant range widened to [lo, lo + 1]; ValueError when that addition rounds away."""
+    if hi == lo:
+        hi = lo + 1.0
+        if hi == lo:
+            raise ValueError(f"{axis} range [{lo!r}, {hi!r}] is empty: adding 1 to a float this large leaves it unchanged")
+    return lo, hi
+
+
 def _axes(parts, x_lo, x_hi, y_lo, y_hi, x_label, y_label, to_px):
     parts.append(
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{WIDTH - MARGIN_L - MARGIN_R}" '
@@ -122,12 +131,8 @@ def line_chart(x, series, x_label="", y_label=""):
     ys_all = np.concatenate(finite) if finite else xs[:0]
     if not xs.size or not ys_all.size:
         raise ValueError("nothing to plot")
-    x_lo, x_hi = _first_extremes(xs)
-    y_lo, y_hi = _first_extremes(ys_all)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    x_lo, x_hi = _widen("x", *_first_extremes(xs))
+    y_lo, y_hi = _widen("y", *_first_extremes(ys_all))
     pad = 0.05 * (y_hi - y_lo)
     _check_range("x", x_lo, x_hi)
     _check_range("y", y_lo, y_hi, pad)

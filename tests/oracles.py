@@ -1,16 +1,24 @@
-"""Scalar reference writers for the CSV and SVG output, for tests only.
+"""Reference implementations for tests only.
 
 The library renders tables and charts from arrays. These compute the same
 output one row, one point or one cell at a time, with the scalar colour
 map `_color`, so that tests can require the library's bytes to equal
 theirs. Axes and ticks come from `aoa_pla.svgfig`, which keeps them scalar.
+
+The single-antenna attacker's closed forms (the paper's Case 2) are kept
+here too: its MSE and gradient through the Dirichlet ratio, and its
+optimal precoder with the Hessian determinant there. Tests check
+`attack.mse_delta` and `attack.optimal_precoders` against them.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
+from aoa_pla.arrays import TWO_PI
+from aoa_pla.attack import dirichlet_ratio
 from aoa_pla.svgfig import (
     _CMAP,
     HEIGHT,
@@ -146,3 +154,59 @@ def surface_chart(x, y, z, x_label="", y_label="", z_label=""):
     parts.append(f'<text x="{bar_x + 24}" y="{MARGIN_T + 10}" font-size="10">{_fmt(z_hi)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def mse_delta_single(geom, theta, theta_hat, beta, phi):
+    """Deterministic MSE part for a single-antenna attacker with q = beta*e^{j*phi}."""
+    m = geom.num_elements
+    alpha = math.sin(theta) - math.sin(theta_hat)
+    if alpha == 0.0:
+        return m * ((beta - math.cos(phi)) ** 2 + math.sin(phi) ** 2)
+    ratio = dirichlet_ratio(geom, alpha)
+    psi = 0.5 * (m - 1) * geom.wavenumber_scale * alpha + phi
+    return (beta * beta + 1.0) * m - 2.0 * beta * ratio * math.cos(psi)
+
+
+def mse_gradient_single(geom, theta, theta_hat, beta, phi):
+    """Analytic partials (d zeta / d beta, d zeta / d phi)."""
+    m = geom.num_elements
+    alpha = math.sin(theta) - math.sin(theta_hat)
+    ratio = dirichlet_ratio(geom, alpha)
+    psi = 0.5 * (m - 1) * geom.wavenumber_scale * alpha + phi
+    dbeta = 2.0 * beta * m - 2.0 * ratio * math.cos(psi)
+    dphi = 2.0 * beta * ratio * math.sin(psi)
+    return dbeta, dphi
+
+
+@dataclass(frozen=True)
+class OptimalSinglePrecoder:
+    beta_star: float
+    phi_star: float
+    branch: int  # integer u in phi = -(M-1)*kappa*alpha/2 + u*pi
+    hessian_det: float
+    zeta_at_opt: float
+
+
+def optimal_single_precoder(geom, theta, theta_hat, noise=None):
+    """Attacker precoder minimizing the single-antenna MSE.
+
+    phi* = -(M-1)*kappa*alpha/2 + u*pi with the branch parity u chosen so
+    beta* >= 0. With aligned (or sine-aliased) angles this degenerates to
+    q = 1 and the noise floor. `zeta_at_opt` omits the noise floor when no
+    noise model is given.
+    """
+    m = geom.num_elements
+    alpha = math.sin(theta) - math.sin(theta_hat)
+    ratio = dirichlet_ratio(geom, alpha)
+    branch = 0 if ratio >= 0 else 1
+    beta = abs(ratio) / m
+    phi = (-0.5 * (m - 1) * geom.wavenumber_scale * alpha + branch * math.pi) % TWO_PI
+    delta = max(mse_delta_single(geom, theta, theta_hat, beta, phi), 0.0)
+    floor = noise.floor if noise is not None else 0.0
+    return OptimalSinglePrecoder(
+        beta_star=beta,
+        phi_star=phi,
+        branch=branch,
+        hessian_det=4.0 * ratio * ratio,
+        zeta_at_opt=delta + floor,
+    )

@@ -13,11 +13,11 @@ from aoa_pla.attack import (
     monte_carlo_mse,
     mse_closed_form,
     mse_delta,
-    mse_delta_single,
-    mse_gradient_single,
-    multi_optimum_condition,
-    optimal_single_precoder,
+    optimal_precoders,
 )
+from oracles import mse_delta_single, mse_gradient_single, optimal_single_precoder
+
+EPS = np.finfo(float).eps
 
 
 def brute_delta_single(geom, theta, theta_hat, beta, phi):
@@ -152,6 +152,9 @@ def test_hessian_det_formula():
     opt = optimal_single_precoder(geom, 0.4, 0.2)
     ratio = dirichlet_ratio(geom, math.sin(0.4) - math.sin(0.2))
     assert opt.hessian_det == pytest.approx(4.0 * ratio * ratio, rel=1e-12)
+    # at L = 1 the determinant is 4 M^2 |q*|^2, which `attack-opt` reports as |q*|^2
+    q = optimal_precoders(geom, 0.4, (0.2,)).precoders
+    assert opt.hessian_det == pytest.approx(4.0 * 16**2 * abs(q[0]) ** 2, rel=1e-12)
 
 
 def test_gram_matrix_matches_inner_products():
@@ -278,26 +281,30 @@ def test_closed_form_single_reduction():
 
 
 def test_aggregate_precoder_and_optimum_condition():
-    att = AttackerConfig((0.4, math.pi - 0.4), (0.5, 0.5))
-    check = multi_optimum_condition(att, 0.4)
-    assert check.aggregate.real == pytest.approx(1.0, abs=1e-15)
-    assert check.aggregate.imag == pytest.approx(0.0, abs=1e-15)
-    assert check.satisfied and check.angles_aligned and check.precoder_sum_ok
+    # a sine alias pair has one steering vector: rank 1, and q* splits the unit precoder between them
+    geom = ArrayGeometry(16)
+    opt = optimal_precoders(geom, 0.4, (0.4, math.pi - 0.4))
+    assert opt.rank == 1
+    assert opt.delta <= 1e-20
+    assert np.sum(opt.precoders) == pytest.approx(1.0, abs=1e-15)
+    assert opt.precoders[0] == pytest.approx(opt.precoders[1], abs=1e-15)
 
-    off_angle = multi_optimum_condition(AttackerConfig.single(0.3), 0.4)
-    assert not off_angle.satisfied and not off_angle.angles_aligned
-    assert "angle condition" in off_angle.detail
+    off_angle = optimal_precoders(geom, 0.4, (0.3,))
+    assert off_angle.rank == 1 and off_angle.delta > 1.0
 
-    off_sum = multi_optimum_condition(AttackerConfig.single(0.4, beta=0.5), 0.4)
-    assert not off_sum.satisfied and off_sum.angles_aligned and not off_sum.precoder_sum_ok
-    assert "precoder condition" in off_sum.detail
+    # an aligned antenna with any precoder but 1 misses the optimum, delta* = 0
+    aligned = optimal_precoders(geom, 0.4, (0.4,))
+    assert aligned.precoders[0] == pytest.approx(1.0, abs=1e-15)
+    assert mse_closed_form(geom, 0.4, AttackerConfig.single(0.4, beta=0.5), NoiseModel.noiseless()).delta == 4.0
 
 
 def test_optimum_condition_attains_noise_floor():
     geom = ArrayGeometry(16)
     noise = NoiseModel.from_db(15.0)
     att = AttackerConfig((0.4, math.pi - 0.4, 0.4), (0.25, 0.25, 0.5))
-    assert multi_optimum_condition(att, 0.4).satisfied
+    opt = optimal_precoders(geom, 0.4, att.angles)
+    assert opt.rank == 1 and opt.delta <= 1e-20
+    assert np.sum(opt.precoders) == pytest.approx(1.0, abs=1e-15)
     assert mse_closed_form(geom, 0.4, att, noise).zeta == pytest.approx(noise.floor, abs=1e-12)
 
 
@@ -305,11 +312,128 @@ def test_non_aliased_attacker_reaches_zero_delta():
     # four steering vectors at distinct sines span C^4, so least squares solves A q = a
     geom = ArrayGeometry(4)
     angles = (0.1, 0.7, -0.5, 1.2)
-    a_matrix = np.stack([steering_vector(geom, angle) for angle in angles], axis=1)
+    opt = optimal_precoders(geom, 0.4, angles)
+    assert opt.rank == 4
+    assert opt.delta <= 1e-20
+    a_matrix = steering_vector(geom, angles).T
     q = np.linalg.lstsq(a_matrix, steering_vector(geom, 0.4), rcond=None)[0]
-    att = AttackerConfig(angles, q)
+    assert np.max(np.abs(opt.precoders - q)) <= 1e-12
+    att = AttackerConfig(angles, opt.precoders)
     assert mse_delta(geom, 0.4, att.angles, att.precoders) <= 1e-20
-    assert not multi_optimum_condition(att, 0.4).satisfied
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 32),
+    st.floats(0.1, 2.0),
+    st.floats(-math.pi / 2, math.pi / 2),
+    st.one_of(st.floats(-math.pi, math.pi), st.integers(-3, 3)),
+    st.floats(-10.0, 40.0),
+)
+def test_optimal_precoders_single_antenna_equals_closed_form(m, spacing, theta, theta_hat, snr_db):
+    """At L = 1, q* is the closed form's beta* e^{j phi*} and delta* + floor its zeta*.
+
+    An integer `theta_hat` k puts the antenna on the sine alias sin(theta) + k / spacing,
+    when that exists. Each steering-vector phase kappa*m*sin is rounded to
+    within about kappa*M*eps, and the closed form's phase -(M-1)*kappa*alpha/2
+    likewise, so q* (a mean of M unit terms) agrees to a few kappa*M*eps and
+    delta (a sum of M terms of size up to 4) to a few kappa*M^2*eps.
+    """
+    geom = ArrayGeometry(m, spacing)
+    if isinstance(theta_hat, int):
+        alias = math.sin(theta) + theta_hat / spacing
+        if abs(alias) > 1.0:
+            return
+        theta_hat = math.asin(alias)
+    noise = NoiseModel.from_db(snr_db)
+    opt = optimal_precoders(geom, theta, (theta_hat,))
+    want = optimal_single_precoder(geom, theta, theta_hat, noise)
+    kappa = geom.wavenumber_scale
+    assert opt.rank == 1
+    assert abs(opt.precoders[0] - want.beta_star * cmath.exp(1j * want.phi_star)) <= 16 * (1 + kappa) * m * EPS
+    zeta = opt.delta + noise.floor
+    assert abs(zeta - want.zeta_at_opt) <= 16 * (1 + kappa) * m * m * EPS + 4 * EPS * noise.floor
+
+
+@st.composite
+def _near_coincident_attackers(draw):
+    """Array, legitimate angle and attacker angles, most a hair from a shared base angle.
+
+    Offsets of 10**-16 to 10**-2 rad (or none, or a sine alias of the base)
+    make the Gram matrix G = A^H A as ill-conditioned as a float allows.
+    """
+    geom = ArrayGeometry(draw(st.integers(2, 24)), draw(st.floats(0.1, 2.0)))
+    base = draw(st.floats(-math.pi / 2, math.pi / 2))
+    theta = draw(st.one_of(st.just(base), st.floats(-math.pi / 2, math.pi / 2)))
+    angles = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["near", "near", "alias", "anywhere"]))
+        if kind == "near":
+            offset = draw(st.sampled_from([-1.0, 0.0, 1.0])) * 10.0 ** -draw(st.floats(2.0, 16.0))
+            angles.append(base + offset)
+        elif kind == "alias":
+            angles.append(math.pi - base)
+        else:
+            angles.append(draw(st.floats(-math.pi, math.pi)))
+    return geom, theta, tuple(angles)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_coincident_attackers())
+def test_optimal_precoders_solve_the_normal_equations(scenario):
+    """The gradient A^H (a - A q*) vanishes and q* solves G q = A^H a, to rounding.
+
+    q* is the exact least-squares solution of a matrix B with ||A - B|| at
+    most the SVD's backward error, a small multiple (taken as 8) of
+    M L eps ||A|| for Householder-based SVD, plus the dropped singular
+    values, below max(M, L) eps ||A||. So ||A^H (a - A q*)|| <= ||A - B||
+    (||a|| + 2 ||A|| ||q*||), with ||a|| = sqrt(M) and ||A|| <= sqrt(M L).
+    The closed-form G differs from A^H A by the phase rounding of a few
+    kappa M eps per entry of A, which adds a few (1 + kappa) M^2 L eps ||q*||.
+    """
+    geom, theta, angles = scenario
+    m, l = geom.num_elements, len(angles)
+    opt = optimal_precoders(geom, theta, angles)
+    q = opt.precoders
+    qnorm = float(np.linalg.norm(q))
+    a = steering_vector(geom, theta)
+    a_matrix = steering_vector(geom, angles).T
+    grad = a_matrix.conj().T @ (a - a_matrix @ q)
+    grad_tol = (8 * m * l + max(m, l)) * EPS * math.sqrt(m * l) * (math.sqrt(m) + 2 * math.sqrt(m * l) * qnorm)
+    assert np.linalg.norm(grad) <= grad_tol
+    normal = gram_matrix(geom, angles) @ q - a_matrix.conj().T @ a
+    assert np.linalg.norm(normal) <= grad_tol + 16 * (1 + geom.wavenumber_scale) * m * m * l * EPS * qnorm
+    assert 1 <= opt.rank <= min(m, l)
+    # no worse than q = 0, up to the rounding of a residual sum with |q*| terms
+    assert 0.0 <= opt.delta <= m + grad_tol
+
+
+def test_optimal_precoders_rank_of_spanning_and_repeated_antennas():
+    geom = ArrayGeometry(6)
+    spread = np.linspace(-1.2, 1.2, 9)
+    for l in range(1, 10):
+        opt = optimal_precoders(geom, 0.4, spread[:l])
+        assert opt.rank == min(l, 6)
+        assert (opt.delta <= 1e-20) == (l >= 6)
+        assert opt.rank == np.linalg.matrix_rank(steering_vector(geom, spread[:l]).T)
+    repeated = optimal_precoders(geom, 0.4, (0.1, 0.1, 0.1))
+    assert repeated.rank == 1
+    assert np.allclose(repeated.precoders, repeated.precoders[0], rtol=0, atol=1e-15)
+
+
+def test_optimal_precoders_broadcast_over_sweep_axes():
+    rng = np.random.default_rng(9)
+    geom = ArrayGeometry(5, 0.8)
+    thetas = rng.uniform(-1.5, 1.5, size=(4, 1))
+    angles = rng.uniform(-math.pi, math.pi, size=(4, 3, 2))
+    opt = optimal_precoders(geom, thetas, angles)
+    assert opt.precoders.shape == (4, 3, 2) and opt.delta.shape == (4, 3) and opt.rank.shape == (4, 3)
+    for i in range(4):
+        for j in range(3):
+            one = optimal_precoders(geom, float(thetas[i, 0]), angles[i, j])
+            assert np.allclose(opt.precoders[i, j], one.precoders, rtol=1e-12, atol=1e-12)
+            assert opt.delta[i, j] == pytest.approx(float(one.delta), rel=1e-12, abs=1e-12)
+            assert opt.rank[i, j] == one.rank
 
 
 def test_monte_carlo_noiseless_equals_closed_form():

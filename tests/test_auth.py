@@ -11,7 +11,6 @@ from aoa_pla import auth
 from aoa_pla.arrays import ArrayGeometry, AttackerConfig, NoiseModel, synthesize_attack, synthesize_legitimate
 from aoa_pla.auth import (
     AoaProfile,
-    default_threshold,
     enroll,
     far_frr_sweep,
     load_acl,
@@ -35,13 +34,6 @@ def test_enroll_single_estimate_and_empty():
     assert profile.enrollment_spread == 0.0
     with pytest.raises(ValueError):
         enroll("bob", [])
-
-
-def test_default_threshold_floor():
-    tight = AoaProfile("a", 0.4, 0.0, 5)
-    assert default_threshold(tight) == 0.02
-    loose = AoaProfile("a", 0.4, 0.05, 5)
-    assert default_threshold(loose, grid_step=0.001) == pytest.approx(0.151)
 
 
 def test_verify_accepts_legitimate_and_rejects_offset():

@@ -14,6 +14,7 @@ from aoa_pla.cli import (
     _parse_angle,
     _parse_override_value,
 )
+from oracles import mse_gradient_single
 
 
 def _synth(path, *flags):
@@ -155,19 +156,12 @@ def test_cli_reproduce_takes_only_seed_out_and_set(capsys):
     assert "unrecognized arguments: --config x" in capsys.readouterr().err
 
 
-def test_cli_reproduce_negative_seed_exits_2(tmp_path, capsys):
-    for figure in ("fig5", "fig3"):
-        rc = main(["reproduce", figure, "--out", str(tmp_path), "--seed", "-1"])
-        assert rc == 2
-        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
-
-
 def test_cli_non_finite_angle_flag_exits_2(capsys):
     for argv, flag in (
         (["attack-opt", "--M", "16", "--theta", "nan", "--theta-hat", "0.2"], "--theta"),
         (["attack-opt", "--M", "16", "--theta", "inf", "--theta-hat", "0.2"], "--theta"),
         (["attack-opt", "--M", "16", "--theta", "0.4", "--theta-hat", "nan deg"], "--theta-hat"),
+        (["attack-opt", "--M", "16", "--theta", "0.4", "--theta-hat", "0.2,inf"], "--theta-hat"),
         (["sweep-far-frr", "--theta-hat", "0.2", "--thresholds", "nan,0.05", "--trials", "2"], "--thresholds"),
     ):
         with pytest.raises(SystemExit) as exc:
@@ -176,30 +170,39 @@ def test_cli_non_finite_angle_flag_exits_2(capsys):
         assert f"argument {flag}: invalid" in capsys.readouterr().err
 
 
+def _attack_opt(capsys, *flags):
+    """`attack-opt`'s printed lines as {name: value text}."""
+    assert main(["attack-opt", *flags]) == 0
+    return {key.strip(): value.strip() for key, value in (line.split("=", 1) for line in capsys.readouterr().out.splitlines())}
+
+
 def test_cli_attack_opt(capsys):
-    rc = main(["attack-opt", "--M", "16", "--theta", "0.4", "--theta-hat", "0.2"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "beta*" in out and "gradient res" in out
+    fields = _attack_opt(capsys, "--M", "16", "--theta", "0.4", "--theta-hat", "0.2")
+    assert list(fields) == ["beta*", "phi*", "|q*|^2", "rank", "zeta*", "floor gap"]
+    # the single-antenna closed form's optimum (oracles.optimal_single_precoder)
+    assert float(fields["beta*"]) == pytest.approx(0.21104067244652516, rel=1e-12)
+    assert float(fields["phi*"]) == pytest.approx(4.930360261389827, rel=1e-12)
+    assert float(fields["floor gap"]) == pytest.approx(15.287389353173094, rel=1e-12)
+    assert float(fields["|q*|^2"]) == pytest.approx(0.21104067244652516**2, rel=1e-12)
+    assert fields["rank"] == "1"
+    # four antennas at distinct sines span C^4 and reach the noise floor with no angle aliased
+    fields = _attack_opt(capsys, "--M", "4", "--theta", "0.4", "--theta-hat", "0.1,0.7,-0.5,1.2")
+    assert len(fields["beta*"].split(",")) == len(fields["phi*"].split(",")) == 4
+    assert fields["rank"] == "4"
+    assert float(fields["floor gap"]) <= 1e-20
+    assert float(fields["zeta*"]) == NoiseModel.from_db(15.0).floor
 
 
 def test_cli_attack_opt_aligned_degenerates_to_unity(capsys):
-    rc = main(["attack-opt", "--M", "16", "--theta", "0.4", "--theta-hat", "0.4"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    fields = dict(
-        line.split("=", 1) for line in out.splitlines() if "=" in line
-    )
-    assert float(fields["beta*        "]) == pytest.approx(1.0, abs=1e-12)
-    assert float(fields["phi*         "]) == pytest.approx(0.0, abs=1e-12)
+    fields = _attack_opt(capsys, "--M", "16", "--theta", "0.4", "--theta-hat", "0.4")
+    assert float(fields["beta*"]) == pytest.approx(1.0, abs=1e-12)
+    assert float(fields["phi*"]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cli_attack_opt_gradient_residual(capsys):
-    rc = main(["attack-opt", "--M", "16", "--theta", "0.4", "--theta-hat", "0.2"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    residual = float(out.splitlines()[-1].split("=")[1])
-    assert residual <= 1e-9
+    fields = _attack_opt(capsys, "--M", "16", "--theta", "0.4", "--theta-hat", "0.2")
+    beta, phi = float(fields["beta*"]), float(fields["phi*"])
+    assert math.hypot(*mse_gradient_single(ArrayGeometry(16), 0.4, 0.2, beta, phi)) <= 1e-9
 
 
 def test_cli_attack_opt_overflowing_noise_floor_exits_2(capsys):
@@ -296,6 +299,8 @@ def test_cli_sweep_far_frr_requires_theta_hat(capsys):
 
 def test_cli_negative_seed_names_the_flag(tmp_path, capsys):
     for argv in (
+        ["reproduce", "fig5", "--out", str(tmp_path)],
+        ["reproduce", "fig3", "--out", str(tmp_path)],
         ["synth", "--out", str(tmp_path / "blk.txt")],
         ["sweep-far-frr", "--theta-hat", "0.2", "--thresholds", "0.1", "--trials", "2"],
     ):

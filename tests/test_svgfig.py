@@ -108,6 +108,14 @@ def test_line_chart_rejects_an_overflowing_range():
     # the data span is finite, but the 5% padding at each end overflows it
     with pytest.raises(ValueError, match="y range .* overflows"):
         svgfig.line_chart([0.0, 1.0], {"a": [-8.5e307, 8.5e307]})
+    # a constant range is widened by 1, which rounds away beyond 2**53
+    for x, y, shown in (
+        ([0.0, 1.0], [1e308, 1e308], r"y range \[1e\+308, 1e\+308\]"),
+        ([5.0, 5.0], [1e300, 1e300], r"y range \[1e\+300, 1e\+300\]"),
+        ([1e17, 1e17], [0.0, 1.0], r"x range \[1e\+17, 1e\+17\]"),
+    ):
+        with pytest.raises(ValueError, match=shown + " is empty"):
+            svgfig.line_chart(x, {"a": y})
 
 
 def test_line_chart_matches_scalar_oracle():
