@@ -290,6 +290,17 @@ def test_cli_music_and_verify_read_only_block_files(capsys):
         assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == flags | {"--help"}
 
 
+def test_cli_reproduce_negative_seed_exits_2(tmp_path, capsys):
+    # reproduce --seed goes through the same parser as synth and sweep-far-frr
+    for figure in ("fig5", "fig3"):
+        for seed in ("-1", "1.5", "x"):
+            with pytest.raises(SystemExit) as exc:
+                main(["reproduce", figure, "--out", str(tmp_path), "--seed", seed])
+            assert exc.value.code == 2
+            assert f"argument --seed: seed must be an integer >= 0, got {seed}\n" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_sweep_far_frr_requires_theta_hat(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep-far-frr", "--thresholds", "0.1", "--trials", "2"])
@@ -299,8 +310,6 @@ def test_cli_sweep_far_frr_requires_theta_hat(capsys):
 
 def test_cli_negative_seed_names_the_flag(tmp_path, capsys):
     for argv in (
-        ["reproduce", "fig5", "--out", str(tmp_path)],
-        ["reproduce", "fig3", "--out", str(tmp_path)],
         ["synth", "--out", str(tmp_path / "blk.txt")],
         ["sweep-far-frr", "--theta-hat", "0.2", "--thresholds", "0.1", "--trials", "2"],
     ):
