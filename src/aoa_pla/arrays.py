@@ -46,12 +46,15 @@ def _wrap_phase(phis):
     return np.where(phis == TWO_PI, 0.0, phis)
 
 
-def _precoders(betas, phis):
-    """beta * e^{j*phi}, broadcast, phi wrapped to [0, 2*pi): the one polar-to-complex conversion; beta >= 0."""
-    betas = np.asarray(betas, dtype=float)
-    if np.any(betas < 0):
-        raise ValueError("precoder amplitudes must be >= 0")
-    return betas * np.exp(1j * _wrap_phase(phis))
+def _precoders(betas, phis, name="precoder amplitudes"):
+    """beta * e^{j*phi}, broadcast, phi wrapped to [0, 2*pi): the one polar-to-complex conversion.
+
+    A negative beta raises ValueError, naming `name` and the betas as given.
+    """
+    amplitudes = np.asarray(betas, dtype=float)
+    if np.any(amplitudes < 0):
+        raise ValueError(f"{name} must be >= 0, got {betas!r}")
+    return amplitudes * np.exp(1j * _wrap_phase(phis))
 
 
 @dataclass(frozen=True)

@@ -161,6 +161,10 @@ def optimal_precoders(geom, theta, angles):
     return LeastSquaresOptimum(q, mse_delta(geom, theta, angles, q), np.count_nonzero(keep, axis=-1))
 
 
+# trials drawn at a time by `monte_carlo_mse`; its one reused block is (this, M, 2)
+_DRAW_CHUNK = 1024
+
+
 def monte_carlo_mse(geom, theta, attacker, noise, trials, seed):
     """Empirical MSE over independent single-snapshot noise realizations.
 
@@ -168,6 +172,11 @@ def monte_carlo_mse(geom, theta, attacker, noise, trials, seed):
     are independent circular Gaussians, so n - n_hat is drawn once as one
     circular Gaussian w with per-element variance noise.floor / M, real and
     imaginary parts interleaved in a real (trials, M, 2) array.
+
+    The draw runs in chunks of at most `_DRAW_CHUNK` trials into one reused
+    block, so memory stays at (_DRAW_CHUNK, M, 2) whatever `trials`. The
+    chunks consume the generator's stream in order, so w, every trial's
+    value and the result equal those of one (trials, M, 2) draw bit for bit.
 
     Returns (mean, standard error). Deterministic given the seed.
     """
@@ -178,10 +187,15 @@ def monte_carlo_mse(geom, theta, attacker, noise, trials, seed):
     if noise.floor == 0.0:
         return float(np.einsum("mc,mc->", d, d)), 0.0
     rng = np.random.default_rng(seed)
-    w = rng.standard_normal((trials, geom.num_elements, 2))
-    w *= math.sqrt(noise.floor / geom.num_elements / 2.0)
-    w += d
-    vals = np.einsum("tmc,tmc->t", w, w)
+    scale = math.sqrt(noise.floor / geom.num_elements / 2.0)
+    vals = np.empty(trials)
+    block = np.empty((min(trials, _DRAW_CHUNK), geom.num_elements, 2))
+    for start in range(0, trials, len(block)):
+        w = block[: trials - start]
+        rng.standard_normal(out=w)
+        w *= scale
+        w += d
+        np.einsum("tmc,tmc->t", w, w, out=vals[start : start + len(w)])
     mean = float(np.mean(vals))
     if trials < 2:
         return mean, 0.0

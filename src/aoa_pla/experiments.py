@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -179,6 +180,30 @@ def _best_case_precoders(nums):
     return precoders
 
 
+def _pool_size():
+    """Threads that `_map_points` uses: min(4, usable cores). It is not a user setting."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(4, cores or 1)
+
+
+def _map_points(call, points):
+    """[call(*point) for point in points], on up to `_pool_size()` threads, in point order.
+
+    For the Monte Carlo points of fig3 and fig7: numpy's Generator releases
+    the GIL while it fills an array, and each point draws from its own
+    `derive_rng` stream, so the results do not depend on the thread count.
+    """
+    points = list(points)
+    workers = min(_pool_size(), len(points))
+    if workers <= 1:
+        return [call(*point) for point in points]
+    # imported on first use: it pulls in logging, about 7 ms that every other command would pay at start-up
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(lambda point: call(*point), points))
+
+
 # --------------------------------------------------------------------------
 # figure runners
 
@@ -246,14 +271,16 @@ def run_fig3(config):
     phis = np.linspace(0.0, TWO_PI, p["phi_points"])
     betas = np.asarray(p["beta_pairs"], dtype=float)
     # theory[pair_idx, k] and sim[pair_idx, k] = (mean, stderr) over the (beta pair, phi) grid
-    precoders = _precoders(betas[:, None, :], phis[:, None])
+    # the pairs go in as given, so that a negative amplitude is reported as typed; the phi axis comes out first
+    amplitudes = f"precoder amplitudes in 'beta_pairs' for {config.figure_id}"
+    precoders = np.swapaxes(_precoders(p["beta_pairs"], phis[:, None, None], amplitudes), 0, 1)
     theory = mse_delta(geom, p["theta"], (p["theta"], p["theta"]), precoders) + noise.floor
-    sim = np.empty(theory.shape + (2,))
-    for pair_idx, k in np.ndindex(theory.shape):
+
+    def point(pair_idx, k):
         attacker = AttackerConfig((p["theta"], p["theta"]), precoders[pair_idx, k])
-        sim[pair_idx, k] = monte_carlo_mse(
-            geom, p["theta"], attacker, noise, p["trials"], derive_rng(config.seed, pair_idx, k)
-        )
+        return monte_carlo_mse(geom, p["theta"], attacker, noise, p["trials"], derive_rng(config.seed, pair_idx, k))
+
+    sim = np.reshape(_map_points(point, np.ndindex(theory.shape)), theory.shape + (2,))
     return _table(config, p, {
         "phi0_rad": np.broadcast_to(phis, theory.shape),
         "beta0": np.broadcast_to(betas[:, :1], theory.shape),
@@ -301,7 +328,10 @@ def run_fig3d(config):
     phis = np.linspace(0.0, TWO_PI, p["phi_points"])
     phi0, phi1 = np.meshgrid(phis, phis, indexing="ij")
     # the precoder grid is a temporary, freed before the rows are built
-    zeta = mse_delta(geom, p["theta"], p["theta_hats"], _precoders(p["betas"], np.stack([phi0, phi1], axis=-1)))
+    amplitudes = f"precoder amplitudes in 'betas' for {config.figure_id}"
+    zeta = mse_delta(
+        geom, p["theta"], p["theta_hats"], _precoders(p["betas"], np.stack([phi0, phi1], axis=-1), amplitudes)
+    )
     zeta += noise.floor
     return _table(config, p, {"phi0_rad": phi0, "phi1_rad": phi1, "zeta": zeta})
 
@@ -434,13 +464,13 @@ def run_fig7(config):
     angles = np.asarray(theta_hats)[:, None, None]
     precoders = _best_case_precoders(nums)
     theory = mse_delta(geom, p["theta"], angles, precoders) + noise.floor
-    sim = np.empty(theory.shape + (2,))
-    for cond, idx in np.ndindex(theory.shape):
+
+    def point(cond, idx):
         num = nums[idx]
         attacker = AttackerConfig((theta_hats[cond],) * num, precoders[idx, :num])
-        sim[cond, idx] = monte_carlo_mse(
-            geom, p["theta"], attacker, noise, p["trials"], derive_rng(config.seed, idx, cond)
-        )
+        return monte_carlo_mse(geom, p["theta"], attacker, noise, p["trials"], derive_rng(config.seed, idx, cond))
+
+    sim = np.reshape(_map_points(point, np.ndindex(theory.shape)), theory.shape + (2,))
     return _table(config, p, {
         "num_attacker_antennas": nums,
         "zeta_aligned_theory": theory[0],

@@ -9,6 +9,11 @@ The single-antenna attacker's closed forms (the paper's Case 2) are kept
 here too: its MSE and gradient through the Dirichlet ratio, and its
 optimal precoder with the Hessian determinant there. Tests check
 `attack.mse_delta` and `attack.optimal_precoders` against them.
+
+The Monte Carlo MSE is kept as one (trials, M, 2) draw, and the simulated
+columns of fig3 and fig7 as a serial loop over their points with it, so
+that tests can require the library's chunked draws and thread pool to
+give the same numbers.
 """
 
 from __future__ import annotations
@@ -17,8 +22,20 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from aoa_pla.arrays import TWO_PI
+import numpy as np
+
+from aoa_pla.arrays import (
+    TWO_PI,
+    ArrayGeometry,
+    AttackerConfig,
+    NoiseModel,
+    _precoders,
+    attack_wavefront,
+    derive_rng,
+    steering_vector,
+)
 from aoa_pla.attack import dirichlet_ratio
+from aoa_pla.experiments import _best_case_precoders
 from aoa_pla.svgfig import (
     _CMAP,
     HEIGHT,
@@ -210,3 +227,58 @@ def optimal_single_precoder(geom, theta, theta_hat, noise=None):
         hessian_det=4.0 * ratio * ratio,
         zeta_at_opt=delta + floor,
     )
+
+
+def monte_carlo_mse(geom, theta, attacker, noise, trials, seed):
+    """`attack.monte_carlo_mse` with the noise difference drawn as one (trials, M, 2) block."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    diff0 = steering_vector(geom, theta) - attack_wavefront(geom, attacker)
+    d = np.stack([diff0.real, diff0.imag], axis=-1)
+    if noise.floor == 0.0:
+        return float(np.einsum("mc,mc->", d, d)), 0.0
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((trials, geom.num_elements, 2))
+    w *= math.sqrt(noise.floor / geom.num_elements / 2.0)
+    w += d
+    vals = np.einsum("tmc,tmc->t", w, w)
+    mean = float(np.mean(vals))
+    if trials < 2:
+        return mean, 0.0
+    stderr = float(np.std(vals, ddof=1) / math.sqrt(trials))
+    return mean, stderr
+
+
+def fig3_sim(config):
+    """fig3's sim[pair_idx, k] = (mean, stderr), one point after another."""
+    p = config.params()
+    geom = ArrayGeometry(p["num_rx_antennas"])
+    noise = NoiseModel.from_db(p["snr_db"])
+    phis = np.linspace(0.0, TWO_PI, p["phi_points"])
+    betas = np.asarray(p["beta_pairs"], dtype=float)
+    precoders = _precoders(betas[:, None, :], phis[:, None])
+    sim = np.empty(precoders.shape[:2] + (2,))
+    for pair_idx, k in np.ndindex(precoders.shape[:2]):
+        attacker = AttackerConfig((p["theta"], p["theta"]), precoders[pair_idx, k])
+        sim[pair_idx, k] = monte_carlo_mse(
+            geom, p["theta"], attacker, noise, p["trials"], derive_rng(config.seed, pair_idx, k)
+        )
+    return sim
+
+
+def fig7_sim(config):
+    """fig7's sim[cond, idx] = (mean, stderr), aligned (cond 0) and misaligned, one point after another."""
+    p = config.params()
+    geom = ArrayGeometry(p["num_rx_antennas"])
+    noise = NoiseModel.from_db(p["snr_db"])
+    nums = p["num_attacker_antennas"]
+    theta_hats = (p["theta"], p["theta"] + p["angle_gap"])
+    precoders = _best_case_precoders(nums)
+    sim = np.empty((2, len(nums), 2))
+    for cond, idx in np.ndindex(sim.shape[:2]):
+        num = nums[idx]
+        attacker = AttackerConfig((theta_hats[cond],) * num, precoders[idx, :num])
+        sim[cond, idx] = monte_carlo_mse(
+            geom, p["theta"], attacker, noise, p["trials"], derive_rng(config.seed, idx, cond)
+        )
+    return sim

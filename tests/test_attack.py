@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aoa_pla.arrays import ArrayGeometry, AttackerConfig, NoiseModel, _precoders, steering_vector
+from aoa_pla import attack
 from aoa_pla.attack import (
     dirichlet_ratio,
     gram_matrix,
@@ -15,6 +16,7 @@ from aoa_pla.attack import (
     mse_delta,
     optimal_precoders,
 )
+import oracles
 from oracles import mse_delta_single, mse_gradient_single, optimal_single_precoder
 
 EPS = np.finfo(float).eps
@@ -525,6 +527,22 @@ def test_monte_carlo_draws_the_noise_difference_once():
     mean, stderr = monte_carlo_mse(geom, 0.4, att, noise, trials, 11)
     assert mean == pytest.approx(float(np.mean(vals)), rel=1e-12)
     assert stderr == pytest.approx(float(np.std(vals, ddof=1)) / math.sqrt(trials), rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [pytest.param(NoiseModel.from_db(15.0), id="symmetric"), pytest.param(NoiseModel(math.inf, 10.0), id="legit-noiseless")],
+)
+def test_monte_carlo_chunked_draw_equals_one_block(noise):
+    """Chunks of `_DRAW_CHUNK` trials give one block's (mean, stderr) exactly, across every chunk boundary."""
+    chunk = attack._DRAW_CHUNK
+    for trials in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 7):
+        for m in (2, 10, 16):
+            geom = ArrayGeometry(m)
+            seed = trials * 100 + m
+            assert monte_carlo_mse(geom, 0.4, MISALIGNED, noise, trials, seed) == oracles.monte_carlo_mse(
+                geom, 0.4, MISALIGNED, noise, trials, seed
+            ), (trials, m)
 
 
 def test_best_case_zeta_independent_of_num_antennas():

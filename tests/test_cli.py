@@ -323,14 +323,32 @@ def test_cli_negative_seed_names_the_flag(tmp_path, capsys):
 
 
 def test_cli_negative_precoder_amplitude_exits_2_and_writes_nothing(tmp_path, capsys):
-    for argv in (
-        ["reproduce", "fig3d_same", "--out", str(tmp_path), "--set", "betas=-0.5,0.5"],
-        ["reproduce", "fig3", "--out", str(tmp_path), "--set", "beta_pairs=0.5,0.5;-0.3,0.3"],
-        ["synth", "--out", str(tmp_path / "blk.txt"), "--theta-hat", "0.2", "--beta", "-1"],
+    # the message names the figure parameter and the value given
+    for argv, err in (
+        (
+            ["reproduce", "fig3d_same", "--out", str(tmp_path), "--set", "betas=-0.5,0.5"],
+            "precoder amplitudes in 'betas' for fig3d_same must be >= 0, got (-0.5, 0.5)",
+        ),
+        (
+            ["reproduce", "fig3d_diff", "--out", str(tmp_path), "--set", "betas=0.5,-1e-300"],
+            "precoder amplitudes in 'betas' for fig3d_diff must be >= 0, got (0.5, -1e-300)",
+        ),
+        (
+            ["reproduce", "fig3", "--out", str(tmp_path), "--set", "beta_pairs=0.5,0.5;-0.3,0.3"],
+            "precoder amplitudes in 'beta_pairs' for fig3 must be >= 0, got ((0.5, 0.5), (-0.3, 0.3))",
+        ),
+        (
+            ["reproduce", "fig3", "--out", str(tmp_path), "--set", "beta_pairs=-0.3,0.3;"],
+            "precoder amplitudes in 'beta_pairs' for fig3 must be >= 0, got ((-0.3, 0.3),)",
+        ),
+        (
+            ["synth", "--out", str(tmp_path / "blk.txt"), "--theta-hat", "0.2", "--beta", "-1"],
+            "precoder amplitudes must be >= 0, got (-1.0,)",
+        ),
     ):
         assert main(argv) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: precoder amplitudes must be >= 0\n"
+        assert captured.err == f"error: {err}\n"
         assert captured.out == ""
     assert not list(tmp_path.iterdir())
 

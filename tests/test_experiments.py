@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -178,6 +179,36 @@ def test_outputs_equal_the_scalar_oracles(figure_id, tmp_path, monkeypatch):
     emit_plot(table, kind, tmp_path / "oracle.svg", x_col, y_cols, group)
     assert csv_path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
     assert svg_path.read_bytes() == (tmp_path / "oracle.svg").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "figure_id, columns",
+    [
+        ("fig3", {"zeta_sim": (..., 0), "zeta_sim_stderr": (..., 1)}),
+        (
+            "fig7",
+            {
+                "zeta_aligned_sim": (0, ..., 0),
+                "zeta_aligned_stderr": (0, ..., 1),
+                "zeta_misaligned_sim": (1, ..., 0),
+                "zeta_misaligned_stderr": (1, ..., 1),
+            },
+        ),
+    ],
+)
+def test_monte_carlo_points_in_order_at_any_pool_size(figure_id, columns, tmp_path, monkeypatch):
+    # 3 threads do not divide fig3's 14 points evenly
+    cfg = ExperimentConfig(figure_id, seed=5, overrides=CHEAP_OVERRIDES[figure_id])
+    serial = getattr(oracles, f"{figure_id}_sim")(cfg)
+    outputs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(experiments, "_pool_size", lambda n=workers: n)
+        out = tmp_path / str(workers)
+        table, _, csv_path, svg_path = reproduce(dataclasses.replace(cfg, output_dir=str(out)))
+        for name, index in columns.items():
+            assert np.array_equal(experiments._column(table, name), np.ravel(serial[index])), (workers, name)
+        outputs.append((csv_path.read_bytes(), svg_path.read_bytes()))
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def test_different_seed_changes_simulated_output(tmp_path):
