@@ -181,9 +181,10 @@ def _best_case_precoders(nums):
 
 
 def _pool_size():
-    """Threads that `_map_points` uses: min(4, usable cores). It is not a user setting."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(4, cores or 1)
+    """Threads that `_map_points` uses: the usable cores. It is not a user setting."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _map_points(call, points):
@@ -193,14 +194,10 @@ def _map_points(call, points):
     the GIL while it fills an array, and each point draws from its own
     `derive_rng` stream, so the results do not depend on the thread count.
     """
-    points = list(points)
-    workers = min(_pool_size(), len(points))
-    if workers <= 1:
-        return [call(*point) for point in points]
     # imported on first use: it pulls in logging, about 7 ms that every other command would pay at start-up
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(workers) as pool:
+    with ThreadPoolExecutor(_pool_size()) as pool:
         return list(pool.map(lambda point: call(*point), points))
 
 
