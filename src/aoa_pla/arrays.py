@@ -10,12 +10,13 @@ so the expected total noise energy across the array equals ``1/snr``
 An attacker is its antennas' arrival angles and complex precoders q, held
 bit for bit; polar form ``beta * exp(1j*phi)`` enters only through `_precoders`.
 
-`synthesize_legitimate` and `synthesize_attack` draw snapshot blocks, which
-`synth`, `music` and `verify` write, read and check. `synthesize_covariance`
-draws the sample covariance of such a block from its sufficient statistics
-(noise sample mean and a Bartlett-factored complex Wishart), at O(M^2) cost
-whatever the snapshot count; the Monte Carlo MUSIC trials of fig2 and the
-FAR/FRR sweep use it.
+A link is a noiseless wavefront and its SNR, and it has two draws, both
+checked by `_check_link`. `_synthesize_block` draws N snapshots, for
+`synthesize_legitimate` and `synthesize_attack`, whose blocks `synth`,
+`music` and `verify` write, read and check. `synthesize_covariance` draws
+their sample covariance from its sufficient statistics (noise sample mean
+and a Bartlett-factored complex Wishart), at O(M^2) cost whatever N; the
+Monte Carlo MUSIC trials of fig2 and the FAR/FRR sweep use it.
 """
 
 from __future__ import annotations
@@ -190,21 +191,40 @@ def attack_wavefront(geom, attacker):
     return np.sum(np.asarray(attacker.precoders)[:, None] * steering_vector(geom, attacker.angles), axis=0, initial=0.0)
 
 
-def _noise_block(rng, num_elements, num_snapshots, snr):
-    if math.isinf(snr):
-        return np.zeros((num_elements, num_snapshots), dtype=complex)
-    scale = math.sqrt(1.0 / (num_elements * snr) / 2.0)
-    return scale * (
-        rng.standard_normal((num_elements, num_snapshots))
-        + 1j * rng.standard_normal((num_elements, num_snapshots))
-    )
+def _check_legitimate_angle(theta, name="legitimate angle"):
+    """ValueError, naming `name`, unless a legitimate transmitter's angle `theta` lies in [-pi/2, pi/2]."""
+    if not (math.isfinite(theta) and abs(theta) <= math.pi / 2):
+        raise ValueError(f"{name} must lie in [-pi/2, pi/2], got {theta}")
 
 
 def legitimate_wavefront(geom, theta):
     """a(theta), the legitimate transmitter's noiseless array response; theta must lie in [-pi/2, pi/2]."""
-    if not (math.isfinite(theta) and abs(theta) <= math.pi / 2):
-        raise ValueError(f"legitimate angle must lie in [-pi/2, pi/2], got {theta}")
+    _check_legitimate_angle(theta)
     return steering_vector(geom, theta)
+
+
+def _check_link(geom, wavefront, num_snapshots):
+    """`wavefront` as a complex M-vector; ValueError unless it has shape (M,) and N >= 1."""
+    if num_snapshots < 1:
+        raise ValueError("num_snapshots must be >= 1")
+    wavefront = np.asarray(wavefront, dtype=complex)
+    if wavefront.shape != (geom.num_elements,):
+        raise ValueError(f"wavefront must have shape ({geom.num_elements},), got {wavefront.shape}")
+    return wavefront
+
+
+def _synthesize_block(geom, wavefront, snr, num_snapshots, seed):
+    """Block of N snapshots `wavefront * s0 + n`, n ~ CN(0, 1/(M*snr)) per element; snr = inf adds zeros."""
+    wavefront = _check_link(geom, wavefront, num_snapshots)
+    rng = np.random.default_rng(seed)
+    shape = (geom.num_elements, num_snapshots)
+    if math.isinf(snr):
+        noise = np.zeros(shape, dtype=complex)
+    else:
+        noise = math.sqrt(1.0 / (geom.num_elements * snr) / 2.0) * (
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        )
+    return SignalBlock(wavefront[:, None] + noise)
 
 
 def synthesize_legitimate(geom, theta, noise, num_snapshots, seed):
@@ -213,23 +233,12 @@ def synthesize_legitimate(geom, theta, noise, num_snapshots, seed):
     The pilot s0 is the deterministic unit signal 1+0j. `seed` may be an
     integer or an existing numpy Generator.
     """
-    if num_snapshots < 1:
-        raise ValueError("num_snapshots must be >= 1")
-    a = legitimate_wavefront(geom, theta)
-    rng = np.random.default_rng(seed)
-    samples = a[:, None] + _noise_block(rng, geom.num_elements, num_snapshots, noise.snr_legit)
-    return SignalBlock(samples)
+    return _synthesize_block(geom, legitimate_wavefront(geom, theta), noise.snr_legit, num_snapshots, seed)
 
 
 def synthesize_attack(geom, attacker, noise, num_snapshots, seed):
     """Adversarial received block: columns are (sum_i q_i a(theta_hat_i)) * s0 + n."""
-    if num_snapshots < 1:
-        raise ValueError("num_snapshots must be >= 1")
-    rng = np.random.default_rng(seed)
-    samples = attack_wavefront(geom, attacker)[:, None] + _noise_block(
-        rng, geom.num_elements, num_snapshots, noise.snr_attacker
-    )
-    return SignalBlock(samples)
+    return _synthesize_block(geom, attack_wavefront(geom, attacker), noise.snr_attacker, num_snapshots, seed)
 
 
 def synthesize_covariance(geom, wavefront, snr, num_snapshots, seed):
@@ -247,12 +256,8 @@ def synthesize_covariance(geom, wavefront, snr, num_snapshots, seed):
     `sample_covariance` of `synthesize_legitimate` / `synthesize_attack`,
     not their random stream.
     """
-    if num_snapshots < 1:
-        raise ValueError("num_snapshots must be >= 1")
+    wavefront = _check_link(geom, wavefront, num_snapshots)
     m = geom.num_elements
-    wavefront = np.asarray(wavefront, dtype=complex)
-    if wavefront.shape != (m,):
-        raise ValueError(f"wavefront must have shape ({m},), got {wavefront.shape}")
     rng = np.random.default_rng(seed)
     var = 1.0 / (m * snr)
     k = min(m, num_snapshots - 1)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrays import attack_wavefront, derive_rng, legitimate_wavefront, synthesize_covariance
+from .arrays import _check_legitimate_angle, attack_wavefront, derive_rng, legitimate_wavefront, synthesize_covariance
 from .music import DEFAULT_GRID_STEP, DegenerateSpectrumError, estimate_aoa, estimate_aoa_from_covariance
 
 
@@ -143,6 +143,7 @@ def _check_acl_entry(profile, known):
             f"identity {profile.identity!r} has a non-finite angle {profile.enrolled_angle!r} "
             f"or spread {profile.enrollment_spread!r}"
         )
+    _check_legitimate_angle(profile.enrolled_angle, f"enrolled angle of identity {profile.identity!r}")
     if profile.enrollment_spread < 0:
         raise ValueError(f"identity {profile.identity!r} has a negative spread {profile.enrollment_spread!r}")
     if profile.num_enrollment_estimates < 1:

@@ -23,6 +23,7 @@ from .arrays import (
     AttackerConfig,
     NoiseModel,
     SignalBlock,
+    _check_legitimate_angle,
     _wrap_phase,
     synthesize_attack,
     synthesize_legitimate,
@@ -177,6 +178,7 @@ def _parse_override_value(key, raw):
 
 
 def _cmd_attack_opt(args):
+    _check_legitimate_angle(args.theta)
     geom = ArrayGeometry(args.num_antennas, args.spacing)
     noise = NoiseModel.from_db(args.snr_alice_db, args.snr_eve_db)
     opt = optimal_precoders(geom, args.theta, args.theta_hat)

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, svgfig
-from .arrays import TWO_PI, ArrayGeometry, AttackerConfig, NoiseModel, _precoders, derive_rng
+from .arrays import TWO_PI, ArrayGeometry, AttackerConfig, NoiseModel, _check_legitimate_angle, _precoders, derive_rng
 from .attack import monte_carlo_mse, mse_delta
 from .auth import trial_estimates
 from .music import _angle_grid, _find_peaks
@@ -80,6 +80,9 @@ class ExperimentConfig:
                 raise ValueError(
                     f"override {key!r} for {self.figure_id} takes integers >= 1, got {value!r}"
                 )
+            # theta and thetas hold the legitimate transmitter's angle
+            for angle in _entries(value) if key in ("theta", "thetas") else ():
+                _check_legitimate_angle(angle, f"legitimate angle override {key!r} for {self.figure_id}")
 
     def params(self):
         resolved = dict(FIGURES[self.figure_id].defaults)
@@ -540,7 +543,7 @@ FIGURES = {
         ),
         run=run_fig3,
         check=_check_fig3,
-        plot=("line", "phi0_rad", ["zeta_theory", "zeta_sim"], "beta0"),
+        plot=("line", "phi0_rad", ["zeta_theory", "zeta_sim"], ("beta0", "beta1")),
     ),
     "fig3d_same": _fig3d_spec(theta_hats=(0.4, 0.4)),
     "fig3d_diff": _fig3d_spec(theta_hats=(0.39, 0.41)),
@@ -591,10 +594,11 @@ def evaluate_checks(figure_id, table):
 def emit_plot(table, kind, path, x_column, y_columns=None, group_by=None):
     """Write a self-contained SVG chart of the table.
 
-    For kind "line", every y column becomes one series (split further by
-    the optional group_by column); y_columns None means every column after
-    x_column. For kind "surface", y_columns must be [y_axis_column,
-    z_column] over a rectangular (x, y) grid.
+    For kind "line", every y column becomes one series, split further by
+    the values of the optional group_by, a column name or a tuple of them;
+    every group must cover the same x values, else ValueError. y_columns
+    None means every column after x_column. For kind "surface", y_columns
+    must be [y_axis_column, z_column] over a rectangular (x, y) grid.
     """
     if kind not in ("line", "surface"):
         raise ValueError(f"unknown plot kind {kind!r}")
@@ -603,18 +607,18 @@ def emit_plot(table, kind, path, x_column, y_columns=None, group_by=None):
         y_columns = table.columns[table.columns.index(x_column) + 1 :]
     if kind == "line":
         ys = {col: _column(table, col) for col in y_columns}
-        if group_by is None:
-            groups = {None: np.arange(len(xs))}
-        else:
-            gvals = _column(table, group_by)
-            groups = {g: np.flatnonzero(gvals == g) for g in sorted(set(gvals.tolist()))}
-        series, x_axis = {}, []
-        for gval, idxs in groups.items():
-            order = idxs[np.argsort(xs[idxs], kind="stable")]
+        names = (group_by,) if isinstance(group_by, str) else tuple(group_by or ())
+        keys = list(zip(*(_column(table, name).tolist() for name in names))) if names else [()] * len(xs)
+        series, x_axis = {}, xs
+        for i, key in enumerate(sorted(set(keys))):
+            order = np.flatnonzero([k == key for k in keys])
+            order = order[np.argsort(xs[order], kind="stable")]
+            if i and not np.array_equal(xs[order], x_axis):
+                raise ValueError(f"the line groups by {', '.join(names)} do not share one {x_column} axis")
             x_axis = xs[order]
+            tag = ", ".join(f"{name}={value}" for name, value in zip(names, key))
             for col, vals in ys.items():
-                label = col if gval is None else f"{col} [{group_by}={gval}]"
-                series[label] = vals[order]
+                series[f"{col} [{tag}]" if tag else col] = vals[order]
         svg = svgfig.line_chart(x_axis, series, x_label=x_column, y_label=", ".join(y_columns))
     else:
         y_col, z_col = y_columns

@@ -24,11 +24,7 @@ class NonHermitianError(ValueError):
 
 def sample_covariance(block):
     """(1/N) * sum_i x_i x_i^H over the snapshot columns. Hermitian PSD."""
-    x = block.samples
-    n = x.shape[1]
-    if n < 1:
-        raise ValueError("signal block has no snapshots")
-    return (x @ x.conj().T) / n
+    return (block.samples @ block.samples.conj().T) / block.num_snapshots
 
 
 def hermitian_eig(mat):

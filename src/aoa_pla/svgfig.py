@@ -7,7 +7,8 @@ and a surface's colours are mapped for the whole grid at once, each
 distinct colour and each cell position being formatted once. The
 arithmetic is the scalar `to_px` and colour-map arithmetic, in the same
 order, so the bytes equal those of the per-point and per-cell loops that
-`tests/oracles.py` keeps as the reference.
+`tests/oracles.py` keeps as the reference. Both charts share one frame:
+the plot area, the `to_px` map that `_axes` returns and `_document`.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 WIDTH, HEIGHT = 720, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 150, 30, 55
+_PLOT_W, _PLOT_H = WIDTH - MARGIN_L - MARGIN_R, HEIGHT - MARGIN_T - MARGIN_B
 
 SERIES_COLORS = [
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728",
@@ -95,11 +97,23 @@ def _widen(axis, lo, hi):
     return lo, hi
 
 
-def _axes(parts, x_lo, x_hi, y_lo, y_hi, x_label, y_label, to_px):
-    parts.append(
-        f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{WIDTH - MARGIN_L - MARGIN_R}" '
-        f'height="{HEIGHT - MARGIN_T - MARGIN_B}" fill="none" stroke="black"/>'
-    )
+def _document(parts):
+    """The SVG document of the chart elements `parts`, on a white background."""
+    head = f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">'
+    return "\n".join([head, f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>', *parts, "</svg>\n"])
+
+
+def _axes(parts, x_lo, x_hi, y_lo, y_hi, x_label, y_label):
+    """Append the frame, ticks and labels of [x_lo, x_hi] x [y_lo, y_hi] to `parts`; return its map to pixels.
+
+    to_px(x, y) maps data coordinates, scalars or arrays; a range of zero width spans 1.
+    """
+    x_span, y_span = (x_hi - x_lo) or 1.0, (y_hi - y_lo) or 1.0
+
+    def to_px(x, y):
+        return MARGIN_L + (x - x_lo) / x_span * _PLOT_W, HEIGHT - MARGIN_B - (y - y_lo) / y_span * _PLOT_H
+
+    parts.append(f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{_PLOT_W}" height="{_PLOT_H}" fill="none" stroke="black"/>')
     for t in _ticks(x_lo, x_hi):
         px, _ = to_px(t, y_lo)
         parts.append(f'<line x1="{_fmt(px)}" y1="{HEIGHT - MARGIN_B}" x2="{_fmt(px)}" y2="{HEIGHT - MARGIN_B + 5}" stroke="black"/>')
@@ -116,6 +130,7 @@ def _axes(parts, x_lo, x_hi, y_lo, y_hi, x_label, y_label, to_px):
         f'<text x="16" y="{(MARGIN_T + HEIGHT - MARGIN_B) / 2}" font-size="13" text-anchor="middle" '
         f'transform="rotate(-90 16 {(MARGIN_T + HEIGHT - MARGIN_B) / 2})">{y_label}</text>'
     )
+    return to_px
 
 
 def line_chart(x, series, x_label="", y_label=""):
@@ -138,21 +153,8 @@ def line_chart(x, series, x_label="", y_label=""):
     _check_range("y", y_lo, y_hi, pad)
     y_lo -= pad
     y_hi += pad
-
-    def to_px(px, py):
-        fx = (px - x_lo) / (x_hi - x_lo)
-        fy = (py - y_lo) / (y_hi - y_lo)
-        return (
-            MARGIN_L + fx * (WIDTH - MARGIN_L - MARGIN_R),
-            HEIGHT - MARGIN_B - fy * (HEIGHT - MARGIN_T - MARGIN_B),
-        )
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-    ]
-    _axes(parts, x_lo, x_hi, y_lo, y_hi, x_label, y_label, to_px)
+    parts = []
+    to_px = _axes(parts, x_lo, x_hi, y_lo, y_hi, x_label, y_label)
     for idx, (name, vals) in enumerate(ys.items()):
         color = SERIES_COLORS[idx % len(SERIES_COLORS)]
         keep = np.isfinite(vals)
@@ -166,8 +168,7 @@ def line_chart(x, series, x_label="", y_label=""):
             f'y2="{ly - 4}" stroke="{color}" stroke-width="1.5"/>'
         )
         parts.append(f'<text x="{WIDTH - MARGIN_R + 38}" y="{ly}" font-size="11">{name}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _document(parts)
 
 
 def surface_chart(x, y, z, x_label="", y_label="", z_label=""):
@@ -190,21 +191,9 @@ def surface_chart(x, y, z, x_label="", y_label="", z_label=""):
     for axis, lo, hi in (("x", xs[0], xs[-1]), ("y", ys[0], ys[-1]), ("z", z_lo, z_hi)):
         _check_range(axis, lo, hi)
     span = (z_hi - z_lo) or 1.0
-    plot_w = WIDTH - MARGIN_L - MARGIN_R
-    plot_h = HEIGHT - MARGIN_T - MARGIN_B
-    cell_w = plot_w / len(xs)
-    cell_h = plot_h / len(ys)
-
-    def to_px(px, py):
-        fx = (px - xs[0]) / ((xs[-1] - xs[0]) or 1.0)
-        fy = (py - ys[0]) / ((ys[-1] - ys[0]) or 1.0)
-        return MARGIN_L + fx * plot_w, HEIGHT - MARGIN_B - fy * plot_h
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-    ]
+    cell_w = _PLOT_W / len(xs)
+    cell_h = _PLOT_H / len(ys)
+    parts = []
     # each distinct colour, x position and row is formatted once; -1 marks an undrawn cell
     palette, index = np.unique(_color_keys((values - z_lo) / span), return_inverse=True)
     fills = [f'" fill="{_key_color(key)}"/>' for key in palette.tolist()]
@@ -217,18 +206,17 @@ def surface_chart(x, y, z, x_label="", y_label="", z_label=""):
         line = "\n".join(head + mid + fills[k] for head, k in zip(heads, row.tolist()) if k >= 0)
         if line:
             parts.append(line)
-    _axes(parts, xs[0], xs[-1], ys[0], ys[-1], x_label, y_label, to_px)
+    _axes(parts, xs[0], xs[-1], ys[0], ys[-1], x_label, y_label)
     # color bar
     bar_x = WIDTH - MARGIN_R + 30
     steps = 40
     for i, key in enumerate(_color_keys(np.arange(steps) / (steps - 1)).tolist()):
-        by = HEIGHT - MARGIN_B - (i + 1) * plot_h / steps
+        by = HEIGHT - MARGIN_B - (i + 1) * _PLOT_H / steps
         parts.append(
-            f'<rect x="{bar_x}" y="{_fmt(by)}" width="18" height="{_fmt(plot_h / steps + 0.5)}" '
+            f'<rect x="{bar_x}" y="{_fmt(by)}" width="18" height="{_fmt(_PLOT_H / steps + 0.5)}" '
             f'fill="{_key_color(key)}"/>'
         )
     parts.append(f'<text x="{bar_x}" y="{MARGIN_T - 8}" font-size="11">{z_label}</text>')
     parts.append(f'<text x="{bar_x + 24}" y="{HEIGHT - MARGIN_B}" font-size="10">{_fmt(z_lo)}</text>')
     parts.append(f'<text x="{bar_x + 24}" y="{MARGIN_T + 10}" font-size="10">{_fmt(z_hi)}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _document(parts)

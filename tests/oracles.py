@@ -10,6 +10,10 @@ here too: its MSE and gradient through the Dirichlet ratio, and its
 optimal precoder with the Hessian determinant there. Tests check
 `attack.mse_delta` and `attack.optimal_precoders` against them.
 
+The snapshot block draw is kept as `synthesize_legitimate` and
+`synthesize_attack` each wrote it with `_noise_block`, so that tests can
+require the library's one block draw to give the same samples.
+
 The Monte Carlo MSE is kept as one (trials, M, 2) draw, and the simulated
 columns of fig3 and fig7 as a serial loop over their points with it, so
 that tests can require the library's chunked draws and thread pool to
@@ -29,9 +33,11 @@ from aoa_pla.arrays import (
     ArrayGeometry,
     AttackerConfig,
     NoiseModel,
+    SignalBlock,
     _precoders,
     attack_wavefront,
     derive_rng,
+    legitimate_wavefront,
     steering_vector,
 )
 from aoa_pla.attack import dirichlet_ratio
@@ -97,7 +103,7 @@ def line_chart(x, series, x_label="", y_label=""):
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
-    _axes(parts, x_lo, x_hi, y_lo, y_hi, x_label, y_label, to_px)
+    _axes(parts, x_lo, x_hi, y_lo, y_hi, x_label, y_label)
     for idx, (name, vals) in enumerate(series.items()):
         color = SERIES_COLORS[idx % len(SERIES_COLORS)]
         pts = " ".join(
@@ -135,11 +141,6 @@ def surface_chart(x, y, z, x_label="", y_label="", z_label=""):
     cell_w = plot_w / len(xs)
     cell_h = plot_h / len(ys)
 
-    def to_px(px, py):
-        fx = (px - xs[0]) / ((xs[-1] - xs[0]) or 1.0)
-        fy = (py - ys[0]) / ((ys[-1] - ys[0]) or 1.0)
-        return MARGIN_L + fx * plot_w, HEIGHT - MARGIN_B - fy * plot_h
-
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
@@ -155,7 +156,7 @@ def surface_chart(x, y, z, x_label="", y_label="", z_label=""):
                 f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(cell_w + 0.5)}" '
                 f'height="{_fmt(cell_h + 0.5)}" fill="{_color((float(val) - z_lo) / span)}"/>'
             )
-    _axes(parts, xs[0], xs[-1], ys[0], ys[-1], x_label, y_label, to_px)
+    _axes(parts, xs[0], xs[-1], ys[0], ys[-1], x_label, y_label)
     # color bar
     bar_x = WIDTH - MARGIN_R + 30
     steps = 40
@@ -227,6 +228,37 @@ def optimal_single_precoder(geom, theta, theta_hat, noise=None):
         hessian_det=4.0 * ratio * ratio,
         zeta_at_opt=delta + floor,
     )
+
+
+def _noise_block(rng, num_elements, num_snapshots, snr):
+    if math.isinf(snr):
+        return np.zeros((num_elements, num_snapshots), dtype=complex)
+    scale = math.sqrt(1.0 / (num_elements * snr) / 2.0)
+    return scale * (
+        rng.standard_normal((num_elements, num_snapshots))
+        + 1j * rng.standard_normal((num_elements, num_snapshots))
+    )
+
+
+def synthesize_legitimate(geom, theta, noise, num_snapshots, seed):
+    """`arrays.synthesize_legitimate`: a(theta) plus a `_noise_block` at the legitimate SNR."""
+    if num_snapshots < 1:
+        raise ValueError("num_snapshots must be >= 1")
+    a = legitimate_wavefront(geom, theta)
+    rng = np.random.default_rng(seed)
+    samples = a[:, None] + _noise_block(rng, geom.num_elements, num_snapshots, noise.snr_legit)
+    return SignalBlock(samples)
+
+
+def synthesize_attack(geom, attacker, noise, num_snapshots, seed):
+    """`arrays.synthesize_attack`: A q plus a `_noise_block` at the attacker's SNR."""
+    if num_snapshots < 1:
+        raise ValueError("num_snapshots must be >= 1")
+    rng = np.random.default_rng(seed)
+    samples = attack_wavefront(geom, attacker)[:, None] + _noise_block(
+        rng, geom.num_elements, num_snapshots, noise.snr_attacker
+    )
+    return SignalBlock(samples)
 
 
 def monte_carlo_mse(geom, theta, attacker, noise, trials, seed):

@@ -22,6 +22,7 @@ from aoa_pla.arrays import (
 )
 from aoa_pla.attack import mse_closed_form, mse_delta
 from aoa_pla.music import sample_covariance
+import oracles
 
 
 def test_steering_vector_matches_elementwise_definition():
@@ -251,6 +252,24 @@ def test_synthesis_validation():
     att = AttackerConfig.single(0.1)
     with pytest.raises(ValueError):
         synthesize_attack(geom, att, noise, 0, 0)
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (2, 50), (16, 1), (16, 50)])
+def test_block_draws_equal_the_oracle_stream(m, n):
+    # the samples themselves, not their distribution: the same normals in the same
+    # order, real parts before imaginary ones, and zeros of the same sign
+    geom = ArrayGeometry(m)
+    attacker = AttackerConfig((0.1, -0.4), [0.7 + 0.2j, 0.3 - 0.2j])
+    for noise in (NoiseModel.from_db(5.0, -3.0), NoiseModel.noiseless()):
+        for make_seed in (lambda: 7, lambda: derive_rng(7, m, n)):
+            for library, oracle, source in (
+                (synthesize_legitimate, oracles.synthesize_legitimate, 0.3),
+                (synthesize_attack, oracles.synthesize_attack, attacker),
+            ):
+                got = library(geom, source, noise, n, make_seed()).samples
+                want = oracle(geom, source, noise, n, make_seed()).samples
+                assert np.array_equal(got, want), (library.__name__, noise)
+                assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
 
 
 def _covariance_statistics(covs):

@@ -192,6 +192,7 @@ def test_acl_rejects_malformed_line(tmp_path):
     [
         ("a,0.4,0.01,3\n\na,0.5,0.01,3\n", r":3: duplicate identity 'a'"),
         ("a,0.4,0.01,3\na,nan,0.01,3\n", r":2: .*non-finite angle nan"),
+        ("a,0.4,0.01,3\nb,-1.6,0.01,3\n", r":2: enrolled angle of identity 'b' must lie in \[-pi/2, pi/2\], got -1.6"),
         ("a,0.4,inf,3\n", r":1: .*non-finite .* spread inf"),
         ("a,0.4,0.01,3\nalice,0.4,-0.01,0\n", r":2: identity 'alice' has a negative spread -0.01"),
         ("a,0.4,0.01,0\n", r":1: identity 'a' has an estimate count 0 below 1"),
@@ -220,6 +221,7 @@ def test_acl_load_rejects_bad_entries_with_line(tmp_path, text, message):
         ([AoaProfile("a", 0.4, -0.01, 1)], "negative spread -0.01"),
         ([AoaProfile("a", 0.4, 0.0, 0)], "estimate count 0 below 1"),
         ([AoaProfile("", 0.4, 0.01, 5)], "empty identity"),
+        ([AoaProfile("a", 3.0, 0.0, 1)], r"enrolled angle of identity 'a' must lie in \[-pi/2, pi/2\]"),
     ],
 )
 def test_acl_save_rejects_entries_load_cannot_read_back(tmp_path, profiles, message):

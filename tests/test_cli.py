@@ -497,6 +497,9 @@ def test_cli_reproduce_rejects_override_of_wrong_shape(tmp_path, capsys):
         ("fig2", "trials=0"),
         ("fig2", "grid_step=0"),
         ("fig6", "grid_step=0"),
+        # the legitimate angle lies in [-pi/2, pi/2]
+        *((figure, "theta=3") for figure in ("fig2", "fig3", "fig3d_same", "fig3d_diff", "fig5", "fig7")),
+        ("fig6", "thetas=0.2,3"),
     ],
 )
 def test_cli_reproduce_bad_figure_parameter_exits_2(tmp_path, capsys, figure, item):
@@ -505,6 +508,23 @@ def test_cli_reproduce_bad_figure_parameter_exits_2(tmp_path, capsys, figure, it
     assert rc == 2
     assert err.startswith("error: ") and item.split("=")[0] in err
     assert not list(tmp_path.iterdir())
+
+
+def test_cli_attack_opt_legitimate_angle_outside_half_circle_exits_2(capsys):
+    assert main(["attack-opt", "--M", "4", "--theta", "3", "--theta-hat", "0.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: legitimate angle must lie in [-pi/2, pi/2], got 3.0" in captured.err
+
+
+def test_cli_verify_acl_angle_outside_half_circle_exits_2(tmp_path, capsys):
+    acl = tmp_path / "acl.txt"
+    acl.write_text("alice,3.0,0.0,1\n")
+    blk = _synth(tmp_path / "blk.txt", "--snapshots", "50")
+    capsys.readouterr()
+    argv = ["verify", "--acl", str(acl), "--identity", "alice", "--threshold", "0.05", "--input", blk]
+    assert main(argv) == 2
+    assert ":1: enrolled angle of identity 'alice' must lie in [-pi/2, pi/2], got 3.0" in capsys.readouterr().err
 
 
 def test_cli_zero_grid_step_exits_2(tmp_path, capsys):

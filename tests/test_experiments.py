@@ -224,6 +224,29 @@ def test_line_legend_lists_groups_in_numeric_order(tmp_path):
     assert legend == ["1", "2", "4", "12"]
 
 
+def test_fig3_plot_keeps_beta_pairs_that_share_beta0_apart(tmp_path):
+    overrides = {"beta_pairs": ((0.5, 0.5), (0.5, 0.3)), "phi_points": 4, "trials": 50}
+    _, _, _, svg_path = reproduce(ExperimentConfig("fig3", overrides=overrides, output_dir=str(tmp_path)))
+    svg = svg_path.read_text()
+    polylines = re.findall(r'<polyline points="([^"]*)"', svg)
+    assert len(polylines) == 4
+    for points in polylines:
+        xs = [float(point.split(",")[0]) for point in points.split()]
+        assert len(xs) == 4 and all(a < b for a, b in zip(xs, xs[1:])), points
+    legend = re.findall(r">(zeta_\w+ \[.*?\])</text>", svg)
+    assert legend == [f"{col} [beta0=0.5, beta1={b1}]" for b1 in (0.3, 0.5) for col in ("zeta_theory", "zeta_sim")]
+
+
+def test_emit_plot_rejects_line_groups_without_a_shared_x_axis(tmp_path):
+    table = ResultTable(["x", "g", "y"], [(0.0, 1, 1.0), (1.0, 1, 2.0), (0.0, 2, 3.0), (2.0, 2, 4.0)], {})
+    with pytest.raises(ValueError, match="line groups by g do not share one x axis"):
+        emit_plot(table, "line", tmp_path / "x.svg", "x", ["y"], group_by="g")
+    assert not (tmp_path / "x.svg").exists()
+    shared = ResultTable(table.columns, table.rows[:2] + [(1.0, 2, 3.0), (0.0, 2, 4.0)], {})
+    svg = emit_plot(shared, "line", tmp_path / "x.svg", "x", ["y"], group_by="g").read_text()
+    assert re.findall(r">(y \[g=\d\])</text>", svg) == ["y [g=1]", "y [g=2]"]
+
+
 def test_emit_plot_unknown_column(tmp_path):
     table = run_figure(ExperimentConfig("fig5"))
     with pytest.raises(KeyError, match="nope"):
