@@ -241,7 +241,7 @@ def synthesize_attack(geom, attacker, noise, num_snapshots, seed):
     return _synthesize_block(geom, attack_wavefront(geom, attacker), noise.snr_attacker, num_snapshots, seed)
 
 
-def synthesize_covariance(geom, wavefront, snr, num_snapshots, seed):
+def synthesize_covariance(geom, wavefront, snr, num_snapshots, seed, trials=None):
     """Sample covariance of N snapshots `wavefront * s0 + n`, drawn without the snapshots.
 
     For a deterministic pilot the snapshot covariance is exactly
@@ -255,16 +255,24 @@ def synthesize_covariance(geom, wavefront, snr, num_snapshots, seed):
     (snr = inf, s2 = 0) take the same path. The draw has the distribution of
     `sample_covariance` of `synthesize_legitimate` / `synthesize_attack`,
     not their random stream.
+
+    With `trials` = T the result is a (T, M, M) stack of independent draws,
+    one noise mean and one Bartlett factor per trial, from the one generator:
+    first the normals of all T trials, then their gammas. Without it the
+    result is one (M, M) covariance, the draw of T = 1.
     """
     wavefront = _check_link(geom, wavefront, num_snapshots)
     m = geom.num_elements
+    count = 1 if trials is None else trials
     rng = np.random.default_rng(seed)
     var = 1.0 / (m * snr)
     k = min(m, num_snapshots - 1)
     rows, cols = np.tril_indices(m, -1, k)
-    re, im = math.sqrt(0.5) * rng.standard_normal((2, m + rows.size))
-    mean = wavefront + math.sqrt(var / num_snapshots) * (re[:m] + 1j * im[:m])
-    factor = np.zeros((m, k), dtype=complex)
-    factor[rows, cols] = re[m:] + 1j * im[m:]
-    factor[np.arange(k), np.arange(k)] = np.sqrt(rng.standard_gamma(num_snapshots - 1 - np.arange(k)))
-    return np.outer(mean, mean.conj()) + (var / num_snapshots) * (factor @ factor.conj().T)
+    normals = math.sqrt(0.5) * rng.standard_normal((count, 2, m + rows.size))
+    re, im = normals[:, 0], normals[:, 1]
+    mean = wavefront + math.sqrt(var / num_snapshots) * (re[:, :m] + 1j * im[:, :m])
+    factor = np.zeros((count, m, k), dtype=complex)
+    factor[:, rows, cols] = re[:, m:] + 1j * im[:, m:]
+    factor[:, np.arange(k), np.arange(k)] = np.sqrt(rng.standard_gamma(num_snapshots - 1 - np.arange(k), (count, k)))
+    covs = mean[:, :, None] * mean.conj()[:, None, :] + (var / num_snapshots) * (factor @ factor.conj().swapaxes(1, 2))
+    return covs[0] if trials is None else covs

@@ -62,7 +62,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown figure_id {self.figure_id!r}; expected one of {FIGURE_IDS}")
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        known = FIGURES[self.figure_id].defaults
+        spec = FIGURES[self.figure_id]
+        known = spec.defaults
         for key, value in self.overrides.items():
             if key not in known:
                 raise ValueError(
@@ -83,6 +84,9 @@ class ExperimentConfig:
             # theta and thetas hold the legitimate transmitter's angle
             for angle in _entries(value) if key in ("theta", "thetas") else ():
                 _check_legitimate_angle(angle, f"legitimate angle override {key!r} for {self.figure_id}")
+            # a repeated sweep point would write duplicate rows and fold two curves into one
+            if key in spec.sweep_axes and len({tuple(_entries(v)) for v in value}) != len(value):
+                raise ValueError(f"override {key!r} for {self.figure_id} repeats a sweep point: {value!r}")
 
     def params(self):
         resolved = dict(FIGURES[self.figure_id].defaults)
@@ -213,7 +217,7 @@ def run_fig2(config):
     p = config.params()
     attacker = AttackerConfig((p["theta_hat"], p["theta_hat"]), (0.5, 0.5))
     points = list(itertools.product(p["num_rx_antennas"], p["snr_db"]))
-    # est[point, side, trial]; a degenerate trial is nan, so its point's means are nan
+    # est[point, side, trial]; a degenerate trial is nan, so its point's means are nan, and it is counted
     est = np.stack([
         trial_estimates(
             ArrayGeometry(m), p["theta"], attacker, NoiseModel.from_db(snr_db), p["num_snapshots"], p["grid_step"],
@@ -228,6 +232,8 @@ def run_fig2(config):
         "mean_est_alice_rad": np.mean(est[:, 0], axis=1),
         "mean_est_eve_rad": np.mean(est[:, 1], axis=1),
         "frac_trials_est_within_0.1rad": np.mean(np.abs(est[:, 0] - est[:, 1]) < 0.1, axis=1),
+        "degenerate_alice": np.sum(np.isnan(est[:, 0]), axis=1),
+        "degenerate_eve": np.sum(np.isnan(est[:, 1]), axis=1),
     })
 
 
@@ -504,15 +510,18 @@ def _check_fig7(table):
 
 
 class FigureSpec(NamedTuple):
-    """One figure: its default parameters, runner, checks and plot layout.
+    """One figure: its default parameters, runner, checks, plot layout and sweep axes.
 
     `plot` is `emit_plot`'s (kind, x_column, y_columns, group_by).
+    `sweep_axes` names the parameters whose entries are sweep points, each
+    of which an override may not repeat.
     """
 
     defaults: dict
     run: Callable
     check: Callable
     plot: tuple
+    sweep_axes: tuple = ()
 
 
 def _fig3d_spec(theta_hats):
@@ -535,6 +544,7 @@ FIGURES = {
         run=run_fig2,
         check=_check_fig2,
         plot=("line", "snr_db", ["mean_est_alice_rad", "mean_est_eve_rad"], "num_rx_antennas"),
+        sweep_axes=("snr_db", "num_rx_antennas"),
     ),
     "fig3": FigureSpec(
         defaults=dict(
@@ -544,6 +554,7 @@ FIGURES = {
         run=run_fig3,
         check=_check_fig3,
         plot=("line", "phi0_rad", ["zeta_theory", "zeta_sim"], ("beta0", "beta1")),
+        sweep_axes=("beta_pairs",),
     ),
     "fig3d_same": _fig3d_spec(theta_hats=(0.4, 0.4)),
     "fig3d_diff": _fig3d_spec(theta_hats=(0.39, 0.41)),
@@ -555,6 +566,7 @@ FIGURES = {
         run=run_fig5,
         check=_check_fig5,
         plot=("line", "snr_eve_db", ["zeta"], "num_attacker_antennas"),
+        sweep_axes=("snr_eve_db", "num_attacker_antennas"),
     ),
     "fig6": FigureSpec(
         defaults=dict(thetas=(0.2, 0.4), num_rx_antennas=20, num_attacker_antennas=12, snr_db=30.0, grid_step=0.001),
@@ -562,6 +574,7 @@ FIGURES = {
         check=_check_fig6,
         # the y columns are named after `thetas`, so the plot takes every column after x
         plot=("line", "theta_hat_e_rad", None, None),
+        sweep_axes=("thetas",),
     ),
     "fig7": FigureSpec(
         defaults=dict(
@@ -576,6 +589,7 @@ FIGURES = {
             ["zeta_aligned_theory", "zeta_aligned_sim", "zeta_misaligned_theory", "zeta_misaligned_sim"],
             None,
         ),
+        sweep_axes=("num_attacker_antennas",),
     ),
 }
 

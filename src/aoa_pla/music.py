@@ -1,4 +1,4 @@
-"""AoA estimation via the MUSIC pseudospectrum, from a signal block or a covariance."""
+"""AoA estimation via the MUSIC pseudospectrum, from a signal block, a covariance or a stack of covariances."""
 
 from __future__ import annotations
 
@@ -28,19 +28,24 @@ def sample_covariance(block):
 
 
 def hermitian_eig(mat):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each in a (..., M, M) stack.
 
-    Returns (eigenvalues ascending, eigenvectors as orthonormal columns).
-    Rejects inputs whose Hermitian defect exceeds `_HERMITIAN_TOL` relative
-    to the largest entry magnitude.
+    Returns (eigenvalues ascending, eigenvectors as orthonormal columns),
+    with the stack's leading axes. Rejects a stack in which any matrix's
+    Hermitian defect exceeds `_HERMITIAN_TOL` relative to that matrix's
+    largest entry magnitude, reporting the first such matrix.
     """
     mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    defect = float(np.max(np.abs(mat - mat.conj().T)))
-    if defect > _HERMITIAN_TOL * scale:
-        raise NonHermitianError(f"Hermitian defect {defect:.3e} exceeds tolerance {_HERMITIAN_TOL * scale:.3e}")
+    scale = np.maximum(1.0, np.max(np.abs(mat), axis=(-2, -1)))
+    defect = np.max(np.abs(mat - np.swapaxes(mat, -1, -2).conj()), axis=(-2, -1))
+    bad = np.flatnonzero(defect > _HERMITIAN_TOL * scale)
+    if bad.size:
+        first = bad[0]
+        raise NonHermitianError(
+            f"Hermitian defect {defect.flat[first]:.3e} exceeds tolerance {_HERMITIAN_TOL * scale.flat[first]:.3e}"
+        )
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
@@ -88,18 +93,46 @@ def _manifold(geom, grid_step):
     return grid, manifold
 
 
-def _find_peaks(grid, values):
+def _peak_mask(values):
+    """Strict local maxima along the last axis; an end point needs only exceed its one neighbour."""
     v = values
     mask = np.zeros(v.shape, dtype=bool)
-    if len(v) >= 2:
-        mask[0] = v[0] > v[1]
-        mask[-1] = v[-1] > v[-2]
-    if len(v) >= 3:
-        mask[1:-1] = (v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])
-    idx = np.flatnonzero(mask)
-    peaks = [(float(grid[i]), float(v[i])) for i in idx]
+    if v.shape[-1] >= 2:
+        mask[..., 0] = v[..., 0] > v[..., 1]
+        mask[..., -1] = v[..., -1] > v[..., -2]
+    if v.shape[-1] >= 3:
+        mask[..., 1:-1] = (v[..., 1:-1] > v[..., :-2]) & (v[..., 1:-1] > v[..., 2:])
+    return mask
+
+
+def _find_peaks(grid, values):
+    """(angle, height) of each `_peak_mask` peak, by descending height; ties go to the smaller angle."""
+    peaks = [(float(grid[i]), float(values[i])) for i in np.flatnonzero(_peak_mask(values))]
     peaks.sort(key=lambda p: (-p[1], p[0]))
     return peaks
+
+
+def _undetermined(eigenvalues, num_sources):
+    """True where the num_sources largest eigenvalues do not separate from the rest.
+
+    The gap is at most `_HERMITIAN_TOL` times the largest eigenvalue, as for a
+    zero or an identity matrix; `eigenvalues` is ascending along its last axis.
+    """
+    m = eigenvalues.shape[-1]
+    gap = eigenvalues[..., m - num_sources] - eigenvalues[..., m - num_sources - 1]
+    return gap <= _HERMITIAN_TOL * np.maximum(eigenvalues[..., -1], 0.0)
+
+
+def _heights(signal_basis, manifold):
+    """Pseudospectrum 1 / max(M - ||E_s^H a||^2, tiny) over the grid, for (..., M, k) signal bases E_s.
+
+    A stack of one-column bases takes one vector-times-manifold product per
+    basis, the product a single basis takes, so each row equals the height
+    of its basis alone bit for bit.
+    """
+    proj = np.swapaxes(signal_basis.conj(), -1, -2) @ manifold
+    denom = manifold.shape[0] - np.sum(proj.real**2 + proj.imag**2, axis=-2)
+    return 1.0 / np.maximum(denom, np.finfo(float).tiny)
 
 
 def pseudospectrum(mat, geom, grid_step=DEFAULT_GRID_STEP, num_sources=1):
@@ -127,12 +160,10 @@ def pseudospectrum(mat, geom, grid_step=DEFAULT_GRID_STEP, num_sources=1):
     if vals.size != m:
         raise ValueError(f"covariance is {vals.size} x {vals.size}, the array has {m} elements")
     grid, manifold = _manifold(geom, grid_step)
-    if vals[m - num_sources] - vals[m - num_sources - 1] <= _HERMITIAN_TOL * max(vals[-1], 0.0):
+    if _undetermined(vals, num_sources):
         values = np.full(grid.shape, 1.0 / (m - num_sources))
     else:
-        proj = vecs[:, m - num_sources :].conj().T @ manifold
-        denom = m - np.sum(proj.real**2 + proj.imag**2, axis=0)
-        values = 1.0 / np.maximum(denom, np.finfo(float).tiny)
+        values = _heights(vecs[:, m - num_sources :], manifold)
     return MusicSpectrum(grid=grid, values=values, peaks=_find_peaks(grid, values))
 
 
@@ -144,6 +175,27 @@ def estimate_aoa_from_covariance(mat, geom, num_sources=1, grid_step=DEFAULT_GRI
             f"found {len(spectrum.peaks)} local maxima, need {num_sources}"
         )
     return [angle for angle, _ in spectrum.peaks[:num_sources]]
+
+
+def one_source_estimates(covs, geom, grid_step=DEFAULT_GRID_STEP):
+    """One-source MUSIC estimates of a (..., M, M) stack of covariances, shape (...).
+
+    One batched eigendecomposition, the pseudospectrum of every principal
+    eigenvector over the cached manifold in one product, and the highest
+    `_peak_mask` peak of each, the first on a tie (the smaller angle). Each
+    entry equals `estimate_aoa_from_covariance(cov, geom, 1, grid_step)[0]`;
+    it is nan where that raises DegenerateSpectrumError: an undetermined
+    signal subspace, or a spectrum with no strict local maximum.
+    """
+    m = geom.num_elements
+    vals, vecs = hermitian_eig(covs)
+    if vals.shape[-1] != m:
+        raise ValueError(f"covariance is {vals.shape[-1]} x {vals.shape[-1]}, the array has {m} elements")
+    grid, manifold = _manifold(geom, grid_step)
+    values = _heights(vecs[..., m - 1 :], manifold)
+    peaks = _peak_mask(values)
+    best = np.argmax(np.where(peaks, values, -np.inf), axis=-1)
+    return np.where(np.any(peaks, axis=-1) & ~_undetermined(vals, 1), grid[best], np.nan)
 
 
 def estimate_aoa(block, geom, num_sources=1, grid_step=DEFAULT_GRID_STEP):

@@ -14,6 +14,10 @@ The snapshot block draw is kept as `synthesize_legitimate` and
 `synthesize_attack` each wrote it with `_noise_block`, so that tests can
 require the library's one block draw to give the same samples.
 
+The sample-covariance draw is kept as `synthesize_covariance` drew one
+covariance before it drew stacks, so that tests can require the library's
+one-covariance draw to give the same matrix.
+
 The Monte Carlo MSE is kept as one (trials, M, 2) draw, and the simulated
 columns of fig3 and fig7 as a serial loop over their points with it, so
 that tests can require the library's chunked draws and thread pool to
@@ -259,6 +263,21 @@ def synthesize_attack(geom, attacker, noise, num_snapshots, seed):
         rng, geom.num_elements, num_snapshots, noise.snr_attacker
     )
     return SignalBlock(samples)
+
+
+def synthesize_covariance(geom, wavefront, snr, num_snapshots, seed):
+    """`arrays.synthesize_covariance` of one covariance: the noise mean and the Bartlett factor of one draw."""
+    m = geom.num_elements
+    rng = np.random.default_rng(seed)
+    var = 1.0 / (m * snr)
+    k = min(m, num_snapshots - 1)
+    rows, cols = np.tril_indices(m, -1, k)
+    re, im = math.sqrt(0.5) * rng.standard_normal((2, m + rows.size))
+    mean = wavefront + math.sqrt(var / num_snapshots) * (re[:m] + 1j * im[:m])
+    factor = np.zeros((m, k), dtype=complex)
+    factor[rows, cols] = re[m:] + 1j * im[m:]
+    factor[np.arange(k), np.arange(k)] = np.sqrt(rng.standard_gamma(num_snapshots - 1 - np.arange(k)))
+    return np.outer(mean, mean.conj()) + (var / num_snapshots) * (factor @ factor.conj().T)
 
 
 def monte_carlo_mse(geom, theta, attacker, noise, trials, seed):

@@ -272,6 +272,20 @@ def test_block_draws_equal_the_oracle_stream(m, n):
                 assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
 
 
+@pytest.mark.parametrize("m, n", [(2, 1), (2, 3), (2, 2000), (16, 1), (16, 10), (16, 2000)])
+def test_one_covariance_draw_equals_the_oracle_draw(m, n):
+    # the matrix itself, bit for bit, with and without a stack of one
+    geom = ArrayGeometry(m)
+    attacker = AttackerConfig((0.1, -0.4), [0.7 + 0.2j, 0.3 - 0.2j])
+    for wavefront in (steering_vector(geom, 0.3), attack_wavefront(geom, attacker)):
+        for snr in (0.1, 2.0, math.inf):
+            for make_seed in (lambda: 7, lambda: derive_rng(7, m, n)):
+                want = oracles.synthesize_covariance(geom, wavefront, snr, n, make_seed())
+                assert np.array_equal(synthesize_covariance(geom, wavefront, snr, n, make_seed()), want)
+                stack = synthesize_covariance(geom, wavefront, snr, n, make_seed(), 1)
+                assert stack.shape == (1, m, m) and np.array_equal(stack[0], want)
+
+
 def _covariance_statistics(covs):
     """Per-draw statistics of R[1,0], R[0,0], R[3,1] and R[3,3]: real parts,
     the imaginary parts of the off-diagonal two, and the squared distance of
@@ -298,9 +312,8 @@ def test_synthesized_covariance_matches_snapshot_covariance_in_distribution():
     z_bound = NormalDist().inv_cdf(1.0 - (1.0 - (1.0 - 1e-3) ** (1.0 / tests)) / 2.0)
     for index, ((wavefront, snr, synthesize, source), n) in enumerate(scenarios):
         rng_cov, rng_block = derive_rng(17, index, 0), derive_rng(17, index, 1)
-        drawn = _covariance_statistics(
-            np.array([synthesize_covariance(geom, wavefront, snr, n, rng_cov) for _ in range(draws)])
-        )
+        # one stack of draws from the one generator
+        drawn = _covariance_statistics(synthesize_covariance(geom, wavefront, snr, n, rng_cov, draws))
         direct = _covariance_statistics(
             np.array([sample_covariance(synthesize(geom, source, noise, n, rng_block)) for _ in range(draws)])
         )

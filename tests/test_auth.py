@@ -1,5 +1,6 @@
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -82,70 +83,92 @@ def test_far_frr_monotone_in_threshold():
     assert all(0.0 <= v <= 1.0 for v in fars + frrs)
 
 
+def _degenerate_slots(monkeypatch, trials, slots):
+    """Give each (point, side, trial) slot of the dict `slots` the covariance `slots[slot](M)` in place of its draw.
+
+    `trial_estimates` draws all trials of side 0, then of side 1, in trial
+    order, and fig2 runs its points in order, so the g-th covariance drawn
+    (in any chunks) fills slot (g // (2 * trials), g // trials % 2, g % trials).
+    The real draw still runs, so every other slot keeps its covariance.
+    Returns the list of slots drawn so far.
+    """
+    real_draw = auth.synthesize_covariance
+    drawn = []
+
+    def draw(geom, *args, **kwargs):
+        covs = real_draw(geom, *args, **kwargs)
+        for cov in covs:
+            g = len(drawn)
+            drawn.append((g // (2 * trials), g // trials % 2, g % trials))
+            if drawn[-1] in slots:
+                cov[...] = slots[drawn[-1]](geom.num_elements)
+        return covs
+
+    monkeypatch.setattr(auth, "synthesize_covariance", draw)
+    return drawn
+
+
 def test_far_frr_counts_degenerate_legitimate_trial_as_reject(monkeypatch):
-    real_estimate = auth.estimate_aoa_from_covariance
-    calls = []
-    legit_calls = []
-
-    def estimate(cov, *args, **kwargs):
-        # each trial estimates its legitimate covariance first, then its attack covariance
-        calls.append(cov)
-        if len(calls) % 2 == 1:
-            legit_calls.append(cov)
-            if len(legit_calls) == 2:
-                raise auth.DegenerateSpectrumError("injected")
-        return real_estimate(cov, *args, **kwargs)
-
-    monkeypatch.setattr(auth, "estimate_aoa_from_covariance", estimate)
+    drawn = _degenerate_slots(monkeypatch, 4, {(0, 0, 1): np.zeros})
     geom = ArrayGeometry(8)
     noise = NoiseModel.from_db(20.0)
     # a threshold of 10 rad accepts every angle a real estimate can give
     [(_, far, frr)] = far_frr_sweep(
         geom, 0.4, AttackerConfig.single(0.1), noise, [10.0], trials=4, seed=0, num_snapshots=50
     )
-    assert len(legit_calls) == 4
+    assert len(drawn) == 8
     assert frr == 0.25
     assert far == 1.0
 
 
-def _degenerate_on_call(monkeypatch, n):
-    """Make auth.estimate_aoa_from_covariance raise DegenerateSpectrumError on its n-th call only."""
-    real_estimate = auth.estimate_aoa_from_covariance
-    calls = []
-
-    def estimate(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == n:
-            raise auth.DegenerateSpectrumError("injected")
-        return real_estimate(*args, **kwargs)
-
-    monkeypatch.setattr(auth, "estimate_aoa_from_covariance", estimate)
-
-
 def test_trial_estimates_degenerate_trial_is_nan(monkeypatch):
     geom = ArrayGeometry(8)
-    args = (geom, 0.4, AttackerConfig.single(0.1), NoiseModel.from_db(20.0), 50, 0.001, 3, (5, 2))
+    # two chunks per side, so that a slot of the second chunk is hit too
+    trials = auth._TRIAL_CHUNK + 3
+    args = (geom, 0.4, AttackerConfig.single(0.1), NoiseModel.from_db(20.0), 50, 0.001, trials, (5, 2))
     clean = trial_estimates(*args)
-    assert clean.shape == (2, 3) and not np.isnan(clean).any()
-    # calls alternate legitimate / attack per trial, so call 4 is the attack side of trial 1
-    _degenerate_on_call(monkeypatch, 4)
+    assert clean.shape == (2, trials) and not np.isnan(clean).any()
+    slots = {(0, 1, 1): np.eye, (0, 0, auth._TRIAL_CHUNK + 1): np.zeros}
+    _degenerate_slots(monkeypatch, trials, slots)
     hit = trial_estimates(*args)
-    assert np.isnan(hit[1, 1])
-    mask = np.ones((2, 3), dtype=bool)
-    mask[1, 1] = False
+    mask = np.ones((2, trials), dtype=bool)
+    for _, side, t in slots:
+        mask[side, t] = False
+    assert np.isnan(hit[~mask]).all()
     assert np.array_equal(hit[mask], clean[mask])
+
+
+def test_trial_estimates_memory_does_not_grow_with_trials():
+    geom = ArrayGeometry(16)
+    args = (geom, 0.4, AttackerConfig.single(0.2), NoiseModel.from_db(10.0), 100, 0.001)
+    # the first call builds the cached manifold outside the measurement
+    trial_estimates(*args, 1, (0,))
+    peaks = []
+    for trials in (auth._TRIAL_CHUNK, 64 * auth._TRIAL_CHUNK):
+        tracemalloc.start()
+        try:
+            trial_estimates(*args, trials, (0,))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # the (2, trials) result grows by 16 bytes a trial; 64 KiB covers allocator slack, a fraction of one
+    # chunk's (chunk, grid) spectrum, so a stack of all the trials at once would fail
+    assert peaks[1] - peaks[0] <= 16 * 64 * auth._TRIAL_CHUNK + 64 * 1024
 
 
 def test_run_fig2_degenerate_trial_makes_its_point_nan(monkeypatch):
     config = ExperimentConfig(
         "fig2", overrides=dict(trials=2, num_snapshots=50, snr_db=(5.0, 15.0), num_rx_antennas=(8,))
     )
-    clean = run_fig2(config).rows
-    # point 0 makes calls 1-4, so call 6 is the attack side of point 1, trial 0
-    _degenerate_on_call(monkeypatch, 6)
+    clean = run_fig2(config)
+    columns = clean.columns
+    assert clean.rows[0][columns.index("degenerate_alice") :] == (0, 0)
+    _degenerate_slots(monkeypatch, 2, {(1, 1, 0): np.eye})
     rows = run_fig2(config).rows
-    assert rows[0] == clean[0]
-    assert math.isnan(rows[1][3]) and rows[1][2] == clean[1][2]
+    assert rows[0] == clean.rows[0]
+    assert math.isnan(rows[1][columns.index("mean_est_eve_rad")])
+    assert rows[1][columns.index("mean_est_alice_rad")] == clean.rows[1][columns.index("mean_est_alice_rad")]
+    assert rows[1][columns.index("degenerate_alice") :] == (0, 1)
 
 
 def test_far_frr_validation():

@@ -500,6 +500,9 @@ def test_cli_reproduce_rejects_override_of_wrong_shape(tmp_path, capsys):
         # the legitimate angle lies in [-pi/2, pi/2]
         *((figure, "theta=3") for figure in ("fig2", "fig3", "fig3d_same", "fig3d_diff", "fig5", "fig7")),
         ("fig6", "thetas=0.2,3"),
+        # a repeated sweep point
+        ("fig5", "num_attacker_antennas=1,1"),
+        ("fig2", "num_rx_antennas=8,8"),
     ],
 )
 def test_cli_reproduce_bad_figure_parameter_exits_2(tmp_path, capsys, figure, item):

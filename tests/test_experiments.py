@@ -88,6 +88,31 @@ def test_config_rejects_empty_tuple(figure_id, key):
         ExperimentConfig(figure_id, overrides={key: ()})
 
 
+@pytest.mark.parametrize(
+    "figure_id, key, value",
+    [
+        ("fig2", "snr_db", (5.0, 5)),
+        ("fig3", "beta_pairs", ((0.5, 0.5), (0.3, 0.3), [0.5, 0.5])),
+        ("fig5", "num_attacker_antennas", (1, 1)),
+        ("fig6", "thetas", (0.2, 0.4, 0.2)),
+        ("fig7", "num_attacker_antennas", (1, 2, 2)),
+    ],
+)
+def test_config_rejects_repeated_sweep_point(figure_id, key, value):
+    with pytest.raises(ValueError, match=f"override {key!r} for {figure_id} repeats a sweep point"):
+        ExperimentConfig(figure_id, overrides={key: value})
+
+
+def test_config_rejects_a_repeat_on_every_sweep_axis_only():
+    for fig, spec in experiments.FIGURES.items():
+        for key in spec.sweep_axes:
+            value = spec.defaults[key]
+            with pytest.raises(ValueError, match="repeats a sweep point"):
+                ExperimentConfig(fig, overrides={key: value + value[:1]})
+    # fig3d's antenna angles and amplitudes are no sweep: their defaults repeat on purpose
+    ExperimentConfig("fig3d_diff", overrides={"theta_hats": (0.3, 0.3), "betas": (0.5, 0.5)})
+
+
 def test_config_count_rule_follows_the_defaults():
     # int defaults are counts; float defaults still take integer values
     ExperimentConfig("fig5", overrides={"num_attacker_antennas": (1, np.int64(3)), "snr_alice_db": 15})

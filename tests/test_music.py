@@ -26,6 +26,7 @@ from aoa_pla.music import (
     estimate_aoa,
     estimate_aoa_from_covariance,
     hermitian_eig,
+    one_source_estimates,
     pseudospectrum,
     sample_covariance,
     _angle_grid,
@@ -317,6 +318,8 @@ def test_cached_grid_and_manifold_are_read_only():
 
 
 def test_run_fig2_matches_uncached_reference(monkeypatch):
+    # two-trial chunks, so that the three trials of each (point, side) span two of them
+    monkeypatch.setattr(auth, "_TRIAL_CHUNK", 2)
     overrides = dict(trials=3, num_snapshots=100, snr_db=(-10.0, 15.0), num_rx_antennas=(2, 16))
     config = ExperimentConfig("fig2", seed=4, overrides=overrides)
     p = config.params()
@@ -330,25 +333,115 @@ def test_run_fig2_matches_uncached_reference(monkeypatch):
     for point, (m, snr_db) in enumerate((m, s) for m in p["num_rx_antennas"] for s in p["snr_db"]):
         geom = ArrayGeometry(m)
         noise = NoiseModel.from_db(snr_db)
-        for t in range(p["trials"]):
-            rng = derive_rng(config.seed, point, 0, t)
-            cov = synthesize_covariance(
-                geom, steering_vector(geom, p["theta"]), noise.snr_legit, p["num_snapshots"], rng
-            )
-            expected.append(reference_estimate(cov, geom))
-            rng = derive_rng(config.seed, point, 1, t)
-            cov = synthesize_covariance(
-                geom, attack_wavefront(geom, attacker), noise.snr_attacker, p["num_snapshots"], rng
-            )
-            expected.append(reference_estimate(cov, geom))
+        links = ((steering_vector(geom, p["theta"]), noise.snr_legit), (attack_wavefront(geom, attacker), noise.snr_attacker))
+        for side, (wavefront, snr) in enumerate(links):
+            # one generator per (point, side), drawn chunk by chunk
+            rng = derive_rng(config.seed, point, side)
+            for start in range(0, p["trials"], 2):
+                covs = synthesize_covariance(geom, wavefront, snr, p["num_snapshots"], rng, min(2, p["trials"] - start))
+                expected.extend(reference_estimate(cov, geom) for cov in covs)
 
     seen = []
 
-    def recording_estimate(*args, **kwargs):
-        estimates = estimate_aoa_from_covariance(*args, **kwargs)
-        seen.append(estimates[0])
+    def recording_estimates(*args, **kwargs):
+        estimates = one_source_estimates(*args, **kwargs)
+        seen.extend(estimates.tolist())
         return estimates
 
-    monkeypatch.setattr(auth, "estimate_aoa_from_covariance", recording_estimate)
+    monkeypatch.setattr(auth, "one_source_estimates", recording_estimates)
     run_fig2(config)
     assert seen == expected
+
+
+def _estimate_or_nan(cov, geom, grid_step):
+    try:
+        return estimate_aoa_from_covariance(cov, geom, 1, grid_step)[0]
+    except DegenerateSpectrumError:
+        return math.nan
+
+
+def _constructed_covariance(kind, geom, rng):
+    """A covariance of one `kind`: random, or one built to hit a corner of the peak rule."""
+    m = geom.num_elements
+    if kind == "random":
+        shape = (m, rng.integers(1, 41))
+        return sample_covariance(SignalBlock(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
+    if kind == "edge":
+        # a source beyond the last grid angle: the spectrum climbs to the grid's end
+        a = steering_vector(geom, rng.choice((-1.0, 1.0)) * math.pi / 2)
+        return np.outer(a, a.conj()) + rng.uniform(0.0, 0.1) * np.eye(m)
+    if kind == "plateau":
+        # a rank-one basis vector e_j: |e_j^H a|^2 = 1 at every angle, so no strict maximum, yet a clear gap
+        cov = np.zeros((m, m))
+        j = rng.integers(m)
+        cov[j, j] = 1.0
+        return cov
+    if kind == "mirrored":
+        # a real covariance has a spectrum symmetric in angle: two equal peaks at +-theta
+        a = steering_vector(geom, rng.uniform(0.1, 1.2))
+        return np.outer(a, a.conj()).real + rng.uniform(0.0, 0.1) * np.eye(m)
+    if kind == "near_identity":
+        # eigenvalues within the degenerate gap, yet a principal eigenvector whose spectrum has peaks
+        raw = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        return np.eye(m) + 1e-14 * (raw + raw.conj().T)
+    return np.zeros((m, m)) if kind == "zero" else np.eye(m)
+
+
+_COVARIANCE_KINDS = ("random", "edge", "plateau", "mirrored", "near_identity", "zero", "identity")
+
+
+@st.composite
+def _covariance_stacks(draw):
+    geom = ArrayGeometry(draw(st.integers(2, 16)), draw(st.floats(0.1, 2.0)))
+    grid_step = draw(st.sampled_from((0.001, 0.0037, 0.05, 2.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(_COVARIANCE_KINDS), min_size=1, max_size=6))
+    return geom, grid_step, np.stack([_constructed_covariance(kind, geom, rng) for kind in kinds])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_covariance_stacks())
+def test_one_source_estimates_equal_per_matrix_estimates(scenario):
+    geom, grid_step, covs = scenario
+    expected = [_estimate_or_nan(cov, geom, grid_step) for cov in covs]
+    assert np.array_equal(one_source_estimates(covs, geom, grid_step), expected, equal_nan=True)
+    # a single covariance is the stack of shape ()
+    single = one_source_estimates(covs[0], geom, grid_step)
+    assert single.shape == () and np.array_equal(single, expected[0], equal_nan=True)
+
+
+def test_one_source_estimates_at_the_grid_edge_on_a_plateau_and_on_a_tie():
+    geom = ArrayGeometry(8)
+    grid, _ = _manifold(geom, 0.001)
+    rng = np.random.default_rng(3)
+    covs = {kind: _constructed_covariance(kind, geom, rng) for kind in ("edge", "plateau", "mirrored")}
+    edge, plateau, mirrored = one_source_estimates(np.stack(list(covs.values())), geom)
+    assert edge in (grid[0], grid[-1])
+    # the plateau has a clear eigenvalue gap, but no strict local maximum
+    vals, _ = hermitian_eig(covs["plateau"])
+    assert vals[-1] - vals[-2] == 1.0 and math.isnan(plateau)
+    # the two mirrored peaks tie exactly, and the smaller angle wins
+    spectrum = pseudospectrum(covs["mirrored"], geom)
+    (angle0, height0), (angle1, height1) = spectrum.peaks[:2]
+    assert height0 == height1 and angle0 == -angle1 < 0
+    assert mirrored == angle0
+
+
+def test_hermitian_eig_checks_each_matrix_of_a_stack():
+    rng = np.random.default_rng(2)
+    raw = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
+    stack = raw + raw.conj().swapaxes(1, 2)
+    vals, vecs = hermitian_eig(stack)
+    for mat, v, e in zip(stack, vals, vecs):
+        v1, e1 = hermitian_eig(mat)
+        assert np.array_equal(v, v1) and np.array_equal(e, e1)
+    # a defect of 1e-9 is within tolerance of a matrix whose largest entry is 1e6, not of one near 1
+    stack[0] *= 1e6
+    stack[0, 0, 1] += 1e-9
+    hermitian_eig(stack)
+    stack[2, 0, 1] += 1e-9
+    with pytest.raises(NonHermitianError, match=r"Hermitian defect 1\.000e-09 exceeds tolerance") as in_stack:
+        hermitian_eig(stack)
+    with pytest.raises(NonHermitianError) as alone:
+        hermitian_eig(stack[2])
+    assert str(in_stack.value) == str(alone.value)
