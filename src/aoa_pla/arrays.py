@@ -22,6 +22,7 @@ Monte Carlo MUSIC trials of fig2 and the FAR/FRR sweep use it.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -241,6 +242,18 @@ def synthesize_attack(geom, attacker, noise, num_snapshots, seed):
     return _synthesize_block(geom, attack_wavefront(geom, attacker), noise.snr_attacker, num_snapshots, seed)
 
 
+@functools.lru_cache(maxsize=8)
+def _strict_lower(m, k):
+    """Row and column indices of the entries below the diagonal of an M x k matrix, built once per (M, k).
+
+    They are `np.tril_indices(m, -1, k)`; both arrays are shared, so they are read-only.
+    """
+    rows, cols = np.tril_indices(m, -1, k)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def synthesize_covariance(geom, wavefront, snr, num_snapshots, seed, trials=None):
     """Sample covariance of N snapshots `wavefront * s0 + n`, drawn without the snapshots.
 
@@ -267,7 +280,7 @@ def synthesize_covariance(geom, wavefront, snr, num_snapshots, seed, trials=None
     rng = np.random.default_rng(seed)
     var = 1.0 / (m * snr)
     k = min(m, num_snapshots - 1)
-    rows, cols = np.tril_indices(m, -1, k)
+    rows, cols = _strict_lower(m, k)
     normals = math.sqrt(0.5) * rng.standard_normal((count, 2, m + rows.size))
     re, im = normals[:, 0], normals[:, 1]
     mean = wavefront + math.sqrt(var / num_snapshots) * (re[:, :m] + 1j * im[:, :m])

@@ -31,7 +31,7 @@ from .arrays import (
 from .attack import optimal_precoders
 from .auth import far_frr_sweep, load_acl, verify
 from .experiments import ExperimentConfig, reproduce
-from .music import DEFAULT_GRID_STEP, DegenerateSpectrumError, estimate_aoa, pseudospectrum, sample_covariance
+from .music import DEFAULT_GRID_STEP, DegenerateSpectrumError, peak_angles, pseudospectrum, sample_covariance
 
 
 def _parse_angle(text):
@@ -62,15 +62,33 @@ def write_signal_block(path, block):
 
 def _complex_literal(z):
     re, im = float(z.real), float(z.imag)
-    sign = "+" if im >= 0 or math.isnan(im) else "-"
+    sign = "-" if math.copysign(1.0, im) < 0 else "+"
     return f"{re!r}{sign}{abs(im)!r}j"
+
+
+def _parse_rows(lines):
+    """numpy's complex literals, comma-separated, one row per line; no comment syntax."""
+    return np.loadtxt(lines, dtype=complex, delimiter=",", comments=None, ndmin=2)
+
+
+def _parse_line(path, lineno, line, m):
+    """One snapshot line as a 1 x M row; a wrong entry count or a bad literal names `path:line`."""
+    count = line.count(",") + 1
+    if count != m:
+        raise ValueError(f"{path}:{lineno}: expected {m} entries, got {count}")
+    try:
+        return _parse_rows([line])
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: malformed complex literal in {line!r}") from None
 
 
 def read_signal_block(path):
     """Parse a file written by `write_signal_block`; errors name `path:line`.
 
-    Blank lines are skipped. Non-finite samples are rejected here, where
-    the block enters, so synthesized blocks are not checked again.
+    Blank lines are skipped but counted. The body is parsed in one numpy
+    pass; only when that fails is it parsed line by line, with the same
+    parser, to name the first bad line. Non-finite samples are rejected
+    here, where the block enters, so synthesized blocks are not checked again.
     """
     lines = [(no, ln) for no, ln in enumerate(Path(path).read_text().splitlines(), start=1) if ln.strip()]
     if not lines:
@@ -78,21 +96,20 @@ def read_signal_block(path):
     header_no, header = lines[0]
     try:
         m, n = (int(v) for v in header.split())
-    except ValueError as exc:
-        raise ValueError(f"{path}:{header_no}: bad header line {header!r}") from exc
+    except ValueError:
+        m = n = 0
+    if m < 1 or n < 1:
+        raise ValueError(f"{path}:{header_no}: bad header line {header!r}")
     body = lines[1:]
     if len(body) != n:
         raise ValueError(f"{path}: header says {n} snapshots, file has {len(body)}")
-    cols = []
-    for lineno, line in body:
-        entries = line.split(",")
-        if len(entries) != m:
-            raise ValueError(f"{path}:{lineno}: expected {m} entries, got {len(entries)}")
-        try:
-            cols.append([complex(e.strip()) for e in entries])
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: malformed complex literal in {line!r}") from None
-    samples = np.array(cols).T
+    try:
+        rows = _parse_rows([line for _, line in body])
+    except ValueError:
+        rows = None
+    if rows is None or rows.shape != (n, m):
+        rows = np.concatenate([_parse_line(path, lineno, line, m) for lineno, line in body])
+    samples = rows.T
     finite = np.isfinite(samples).all(axis=0)
     if not finite.all():
         lineno = body[int(np.argmin(finite))][0]
@@ -210,11 +227,10 @@ def _cmd_synth(args):
 def _cmd_music(args):
     block = read_signal_block(args.input)
     geom = ArrayGeometry(block.num_elements, args.spacing)
-    estimates = estimate_aoa(block, geom, args.num_sources, args.grid_step)
-    for angle in estimates:
+    spec = pseudospectrum(sample_covariance(block), geom, args.grid_step, args.num_sources)
+    for angle in peak_angles(spec, args.num_sources):
         print(f"estimated AoA: {angle!r} rad")
     if args.spectrum_csv:
-        spec = pseudospectrum(sample_covariance(block), geom, args.grid_step, args.num_sources)
         lines = ["angle_rad,pseudospectrum"]
         lines += [f"{a!r},{v!r}" for a, v in zip(spec.grid.tolist(), spec.values.tolist())]
         Path(args.spectrum_csv).write_text("\n".join(lines) + "\n")
@@ -260,65 +276,92 @@ def _cmd_sweep_far_frr(args):
     return 0
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="aoa-pla",
-        description="AoA-based physical layer authentication simulator",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("reproduce", help="run a figure experiment, write CSV + SVG")
+def _reproduce_flags(p):
     p.add_argument("figure", help="figure id, e.g. fig3 or fig3d_same")
     p.add_argument("--seed", type=_parse_seed, default=0, help="integer >= 0 (default: %(default)s)")
     p.add_argument("--out", default=".", help="output directory (default: %(default)s)")
     p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a figure parameter")
-    p.set_defaults(func=_cmd_reproduce)
 
-    p = sub.add_parser("attack-opt", help="least-squares attacker precoders and the MSE they reach")
+
+def _attack_opt_flags(p):
     p.add_argument("--num-antennas", "--M", dest="num_antennas", type=int, required=True)
     p.add_argument("--spacing", type=float, default=0.5)
     p.add_argument("--theta", type=_parse_angle, required=True)
     p.add_argument("--theta-hat", type=_parse_angles, required=True, help="comma-separated attacker antenna angles")
     p.add_argument("--snr-alice-db", type=float, default=15.0)
     p.add_argument("--snr-eve-db", type=float, default=15.0)
-    p.set_defaults(func=_cmd_attack_opt)
 
-    p = sub.add_parser("synth", help="write a synthesized signal block, legitimate or attack")
+
+def _synth_flags(p):
     p.add_argument("--out", required=True, help="signal block file to write")
     _add_synth_flags(p, p.add_mutually_exclusive_group())
-    p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("music", help="estimate AoA from a signal block file")
+
+def _music_flags(p):
     p.add_argument("--input", required=True, help="signal block file (header `M N`)")
     p.add_argument("--spacing", type=float, default=0.5, help="element spacing in wavelengths")
     p.add_argument("--num-sources", type=int, default=1)
     p.add_argument("--grid-step", type=float, default=DEFAULT_GRID_STEP)
     p.add_argument("--spectrum-csv", default=None, help="also write the pseudospectrum")
-    p.set_defaults(func=_cmd_music)
 
-    p = sub.add_parser("verify", help="authenticate a signal block file against an enrolled profile")
+
+def _verify_flags(p):
     p.add_argument("--acl", required=True, help="access control list file")
     p.add_argument("--identity", required=True)
     p.add_argument("--threshold", type=_parse_angle, required=True)
     p.add_argument("--input", required=True, help="signal block file")
     p.add_argument("--spacing", type=float, default=0.5, help="element spacing in wavelengths")
     p.add_argument("--grid-step", type=float, default=DEFAULT_GRID_STEP)
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("sweep-far-frr", help="FAR/FRR over a threshold sweep")
+
+def _sweep_far_frr_flags(p):
     p.add_argument(
         "--thresholds", type=_parse_angles, required=True, help="comma-separated thresholds in radians, or with `deg`"
     )
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--grid-step", type=float, default=DEFAULT_GRID_STEP)
     _add_synth_flags(p, p)
-    p.set_defaults(func=_cmd_sweep_far_frr)
 
+
+# (name, help, flag builder, handler) of each subcommand, in help order
+COMMANDS = (
+    ("reproduce", "run a figure experiment, write CSV + SVG", _reproduce_flags, _cmd_reproduce),
+    ("attack-opt", "least-squares attacker precoders and the MSE they reach", _attack_opt_flags, _cmd_attack_opt),
+    ("synth", "write a synthesized signal block, legitimate or attack", _synth_flags, _cmd_synth),
+    ("music", "estimate AoA from a signal block file", _music_flags, _cmd_music),
+    ("verify", "authenticate a signal block file against an enrolled profile", _verify_flags, _cmd_verify),
+    ("sweep-far-frr", "FAR/FRR over a threshold sweep", _sweep_far_frr_flags, _cmd_sweep_far_frr),
+)
+_NAMES = tuple(name for name, *_ in COMMANDS)
+
+
+def build_parser(command=None):
+    """The `aoa-pla` parser; when `command` names a subcommand, only that subparser is built.
+
+    Either way the top-level usage lists all six subcommands, so help,
+    usage and error text do not depend on `command`. Anything that is not
+    a subcommand name gets all six, so `--help`, a missing and an unknown
+    command read as they always have.
+    """
+    only = command in _NAMES
+    parser = argparse.ArgumentParser(
+        prog="aoa-pla",
+        description="AoA-based physical layer authentication simulator",
+    )
+    # argparse derives this metavar from the choices; it is spelled out only when not all are built
+    metavar = "{" + ",".join(_NAMES) + "}" if only else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_text, add_flags, run in COMMANDS:
+        if not only or name == command:
+            p = sub.add_parser(name, help=help_text)
+            add_flags(p)
+            p.set_defaults(func=run)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

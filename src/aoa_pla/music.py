@@ -167,14 +167,21 @@ def pseudospectrum(mat, geom, grid_step=DEFAULT_GRID_STEP, num_sources=1):
     return MusicSpectrum(grid=grid, values=values, peaks=_find_peaks(grid, values))
 
 
-def estimate_aoa_from_covariance(mat, geom, num_sources=1, grid_step=DEFAULT_GRID_STEP):
-    """The num_sources highest pseudospectrum peaks of the covariance `mat`, in descending height."""
-    spectrum = pseudospectrum(mat, geom, grid_step, num_sources)
+def peak_angles(spectrum, num_sources):
+    """Angles of the num_sources highest peaks of `spectrum`, in descending height.
+
+    Raises DegenerateSpectrumError when it has fewer peaks than that.
+    """
     if len(spectrum.peaks) < num_sources:
         raise DegenerateSpectrumError(
             f"found {len(spectrum.peaks)} local maxima, need {num_sources}"
         )
     return [angle for angle, _ in spectrum.peaks[:num_sources]]
+
+
+def estimate_aoa_from_covariance(mat, geom, num_sources=1, grid_step=DEFAULT_GRID_STEP):
+    """The num_sources highest pseudospectrum peaks of the covariance `mat`, in descending height."""
+    return peak_angles(pseudospectrum(mat, geom, grid_step, num_sources), num_sources)
 
 
 def one_source_estimates(covs, geom, grid_step=DEFAULT_GRID_STEP):

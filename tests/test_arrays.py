@@ -13,6 +13,7 @@ from aoa_pla.arrays import (
     NoiseModel,
     SignalBlock,
     _precoders,
+    _strict_lower,
     attack_wavefront,
     derive_rng,
     steering_vector,
@@ -284,6 +285,18 @@ def test_one_covariance_draw_equals_the_oracle_draw(m, n):
                 assert np.array_equal(synthesize_covariance(geom, wavefront, snr, n, make_seed()), want)
                 stack = synthesize_covariance(geom, wavefront, snr, n, make_seed(), 1)
                 assert stack.shape == (1, m, m) and np.array_equal(stack[0], want)
+
+
+def test_strict_lower_indices_are_built_once_and_read_only():
+    for m, k in [(1, 0), (2, 1), (16, 1), (16, 16), (5, 3)]:
+        rows, cols = _strict_lower(m, k)
+        want_rows, want_cols = np.tril_indices(m, -1, k)
+        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+        assert _strict_lower(m, k)[0] is rows
+        with pytest.raises(ValueError, match="read-only"):
+            rows[...] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            cols[...] = 0
 
 
 def _covariance_statistics(covs):

@@ -3,11 +3,17 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from aoa_pla.arrays import ArrayGeometry, AttackerConfig, NoiseModel, synthesize_attack, synthesize_legitimate
+from aoa_pla.arrays import ArrayGeometry, AttackerConfig, NoiseModel, SignalBlock, synthesize_attack, synthesize_legitimate
 from aoa_pla.auth import enroll, save_acl
-from aoa_pla.music import pseudospectrum, sample_covariance
+from aoa_pla import music
+from aoa_pla.music import estimate_aoa, pseudospectrum, sample_covariance
 from aoa_pla.cli import (
+    COMMANDS,
+    build_parser,
     main,
     read_signal_block,
     write_signal_block,
@@ -67,6 +73,97 @@ def test_signal_block_rejects_non_finite_sample_with_line(tmp_path):
     path.write_text("2 1\n1+0j,one\n")
     with pytest.raises(ValueError, match=rf"{path}:2: malformed complex literal"):
         read_signal_block(path)
+
+
+# finite doubles, with the edges a text format can lose: signed zeros, subnormals, the largest magnitudes
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.7976931348623157e308, -1.79e308]
+_SAMPLE_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hnp.arrays(float, st.tuples(st.integers(1, 6), st.integers(1, 5), st.just(2)), elements=_SAMPLE_FLOATS),
+)
+def test_signal_block_round_trip_is_bit_exact(tmp_path_factory, parts):
+    samples = parts.view(complex)[..., 0]
+    path = tmp_path_factory.mktemp("block") / "block.txt"
+    write_signal_block(path, SignalBlock(samples))
+    back = read_signal_block(path).samples
+    assert np.array_equal(back, samples)
+    for part in ("real", "imag"):
+        assert np.array_equal(np.signbit(getattr(back, part)), np.signbit(getattr(samples, part)))
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["1+2J,1+0j", "1_0+0j,1+0j", "j,1+0j", "1+0j,1+j", "1+0j,1+0j # x", "1+0j,"],
+)
+def test_signal_block_grammar_is_numpy_complex_only(tmp_path, line):
+    # Python's complex() accepts the first four forms; the block grammar does not, nor a comment or an empty entry.
+    # The blank line 3 still counts, so the bad snapshot is on line 4.
+    path = tmp_path / "block.txt"
+    path.write_text(f"2 2\n1+0j,1+0j\n\n{line}\n")
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}:4: malformed complex literal in {re.escape(repr(line))}"):
+        read_signal_block(path)
+
+
+def test_signal_block_names_the_first_bad_line(tmp_path):
+    path = tmp_path / "block.txt"
+    # every line has one entry too many: the whole body parses, with the wrong shape
+    path.write_text("2 2\n1+0j,2+0j,3+0j\n1+0j,2+0j,3+0j\n")
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}:2: expected 2 entries, got 3"):
+        read_signal_block(path)
+    # a bad literal on line 3 comes before a short line 4
+    path.write_text("2 3\n1+0j,2+0j\n1+0j,x\n1+0j\n")
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}:3: malformed complex literal"):
+        read_signal_block(path)
+    for header in ("2 0", "0 1", "x 1"):
+        path.write_text(f"{header}\n1+0j,2+0j\n")
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}:1: bad header line"):
+            read_signal_block(path)
+
+
+def _parse_outcome(capsys, parse, argv):
+    """(exit code, stdout, stderr) of an argparse run that ends in SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[name, "--help"] for name, *_ in COMMANDS]
+    + [
+        ["--help"],
+        [],
+        ["bogus"],
+        ["verify", "--acl", "a", "--identity", "x", "--threshold", "0.1"],
+        ["music", "--spacing", "0.5"],
+        ["verify", "--acl", "a", "--identity", "x", "--threshold", "0.1", "--input", "b", "extra"],
+    ],
+)
+def test_lazy_parser_text_equals_full_parser_text(capsys, argv):
+    # `main` builds only the subparser argv[0] names; the full parser is the oracle
+    lazy = _parse_outcome(capsys, main, argv)
+    full = _parse_outcome(capsys, build_parser().parse_args, argv)
+    assert lazy == full
+    assert lazy[0] == (0 if "--help" in argv else 2)
+    if argv in ([], ["bogus"], ["--help"]) or "extra" in argv:
+        assert all(name in lazy[1] + lazy[2] for name, *_ in COMMANDS)
+
+
+def test_build_parser_builds_only_the_named_subcommand():
+    def built(command):
+        (sub,) = [a for a in build_parser(command)._actions if a.dest == "command"]
+        return list(sub.choices)
+
+    names = [name for name, *_ in COMMANDS]
+    assert names == ["reproduce", "attack-opt", "synth", "music", "verify", "sweep-far-frr"]
+    for name in names:
+        assert built(name) == [name]
+    for other in (None, "bogus", "--help", "verif"):
+        assert built(other) == names
 
 
 def test_cli_music_bad_blocks_exit_2(tmp_path, capsys):
@@ -389,6 +486,31 @@ def test_cli_music_from_file_with_spectrum(tmp_path, capsys):
     expected = pseudospectrum(sample_covariance(block), geom)
     table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     assert np.array_equal(table[:, 0], expected.grid) and np.array_equal(table[:, 1], expected.values)
+
+
+def test_cli_music_spectrum_csv_takes_one_eigendecomposition(tmp_path, capsys, monkeypatch):
+    calls = []
+    eig = music.hermitian_eig
+    monkeypatch.setattr(music, "hermitian_eig", lambda mat: calls.append(1) or eig(mat))
+    geom = ArrayGeometry(8)
+    attacker = AttackerConfig((-0.3, 0.5), [1.0, 0.8])
+    block = synthesize_attack(geom, attacker, NoiseModel.from_db(20.0), 400, 2)
+    blk, spec = tmp_path / "blk.txt", tmp_path / "spec.csv"
+    write_signal_block(blk, block)
+    assert main(["music", "--input", str(blk), "--num-sources", "2", "--spectrum-csv", str(spec)]) == 0
+    assert len(calls) == 1
+    expected = pseudospectrum(sample_covariance(block), geom, num_sources=2)
+    assert capsys.readouterr().out == "".join(
+        f"estimated AoA: {a!r} rad\n" for a in estimate_aoa(block, geom, 2)
+    ) + f"wrote {spec}\n"
+    rows = [f"{a!r},{v!r}" for a, v in zip(expected.grid.tolist(), expected.values.tolist())]
+    assert spec.read_text() == "\n".join(["angle_rad,pseudospectrum"] + rows) + "\n"
+    # a flat spectrum: exit 2 and no CSV
+    zero_block, flat = tmp_path / "zero.txt", tmp_path / "flat.csv"
+    zero_block.write_text("3 2\n0j,0j,0j\n0j,0j,0j\n")
+    assert main(["music", "--input", str(zero_block), "--spectrum-csv", str(flat)]) == 2
+    assert "error: found 0 local maxima, need 1" in capsys.readouterr().err
+    assert not flat.exists()
 
 
 def test_cli_verify_exit_codes(tmp_path, capsys):
