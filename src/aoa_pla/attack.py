@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arrays import attack_wavefront, steering_vector
+from .arrays import steering_vector
 
 __all__ = [
     "MseBreakdown",
@@ -103,25 +103,30 @@ def gram_matrix(geom, angles):
     return g
 
 
+def _residuals(geom, theta, angles, precoders):
+    """a_m(theta) - sum_l q_l a_m(theta_hat_l), of the sweep shape S, for each element m in turn.
+
+    Shapes are those of `mse_delta`. Besides `arrays.steering_vector`, this
+    is the one place that writes the phase law.
+    """
+    s = np.sin(np.asarray(theta, dtype=float))
+    sines = np.sin(np.asarray(angles, dtype=float))
+    q = np.asarray(precoders, dtype=complex)
+    kappa = geom.wavenumber_scale
+    for m in range(geom.num_elements):
+        yield np.exp(-1j * kappa * m * s) - np.sum(q * np.exp(-1j * kappa * m * sines), axis=-1)
+
+
 def mse_delta(geom, theta, angles, precoders):
     """delta = ||a(theta) - sum_l q_l a(theta_hat_l)||^2, batched over sweep points.
 
     `theta` has shape S; `angles` and `precoders` have shape S + (L,), or
     any shape whose leading axes broadcast against S, e.g. (L,) when one
     attacker is shared by the whole sweep. Returns an array of the
-    broadcast shape S. Besides `arrays.steering_vector`, this is the one
-    place that writes the phase law: it runs over the M elements one at a
-    time, so memory stays at a few arrays of the sweep's size.
+    broadcast shape S. It sums over the M elements one at a time, so memory
+    stays at a few arrays of the sweep's size.
     """
-    s = np.sin(np.asarray(theta, dtype=float))
-    sines = np.sin(np.asarray(angles, dtype=float))
-    q = np.asarray(precoders, dtype=complex)
-    kappa = geom.wavenumber_scale
-    delta = 0.0
-    for m in range(geom.num_elements):
-        resid = np.exp(-1j * kappa * m * s) - np.sum(q * np.exp(-1j * kappa * m * sines), axis=-1)
-        delta = delta + (resid.real**2 + resid.imag**2)
-    return delta
+    return sum(resid.real**2 + resid.imag**2 for resid in _residuals(geom, theta, angles, precoders))
 
 
 def mse_closed_form(geom, theta, attacker, noise):
@@ -161,43 +166,49 @@ def optimal_precoders(geom, theta, angles):
     return LeastSquaresOptimum(q, mse_delta(geom, theta, angles, q), np.count_nonzero(keep, axis=-1))
 
 
-# trials drawn at a time by `monte_carlo_mse`; its one reused block is (this, M, 2)
-_DRAW_CHUNK = 1024
+# trials drawn at a time by `monte_carlo_mse`, into reused (this, 2M) and (this, P) blocks: 0.5 MB at fig3's 252 points
+_DRAW_CHUNK = 256
 
 
-def monte_carlo_mse(geom, theta, attacker, noise, trials, seed):
-    """Empirical MSE over independent single-snapshot noise realizations.
+def monte_carlo_mse(geom, theta, angles, precoders, noise, trials, seed):
+    """Empirical MSE over single-snapshot noise realizations, batched over sweep points like `mse_delta`.
 
-    Each trial is ||a(theta) - A q + n - n_hat||^2. The two links' noises
-    are independent circular Gaussians, so n - n_hat is drawn once as one
-    circular Gaussian w with per-element variance noise.floor / M, real and
-    imaginary parts interleaved in a real (trials, M, 2) array.
-
-    The draw runs in chunks of at most `_DRAW_CHUNK` trials into one reused
-    block, so memory stays at (_DRAW_CHUNK, M, 2) whatever `trials`. The
-    chunks consume the generator's stream in order, so w, every trial's
-    value and the result equal those of one (trials, M, 2) draw bit for bit.
-
-    Returns (mean, standard error). Deterministic given the seed.
+    Each trial is ||d + w_t||^2 with d = a(theta) - A q. The links' noises
+    are independent circular Gaussians, so n - n_hat is one circular
+    Gaussian w of per-element variance noise.floor / M, drawn as a real
+    (trials, 2M) array shared by every point (common random numbers): each
+    point's mean and standard error keep their distribution, but the
+    errors of different points are correlated. Per chunk of at most
+    `_DRAW_CHUNK` trials, one (chunk, 2M) @ (2M, P) product gives the
+    cross terms 2 d.w_t of all P points, in numpy's einsum loop rather than
+    BLAS, whose two-thread calls on blocks this small stall for
+    milliseconds when its worker shares a core with the caller. The
+    chunks' means and sums of squared deviations are merged as in Chan,
+    Golub & LeVeque (1979). Returns (mean, standard error) of shape S.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    diff0 = steering_vector(geom, theta) - attack_wavefront(geom, attacker)
-    d = np.stack([diff0.real, diff0.imag], axis=-1)
-    if noise.floor == 0.0:
-        return float(np.einsum("mc,mc->", d, d)), 0.0
+    if trials < 2:
+        raise ValueError(f"trials must be >= 2 for a standard error, got {trials}")
+    resid = np.stack(list(_residuals(geom, theta, angles, precoders)), axis=-1)
+    d = np.stack([resid.real, resid.imag], axis=-1).reshape(-1, 2 * geom.num_elements)
     rng = np.random.default_rng(seed)
     scale = math.sqrt(noise.floor / geom.num_elements / 2.0)
-    vals = np.empty(trials)
-    block = np.empty((min(trials, _DRAW_CHUNK), geom.num_elements, 2))
+    block = np.empty((min(trials, _DRAW_CHUNK), d.shape[1]))
+    cross = np.empty((len(block), len(d)))
+    twice_dt = np.ascontiguousarray(2.0 * d.T)
+    # mean and sum of squared deviations of 2 d.w_t + ||w_t||^2 over the first `count` trials
+    count, mean, sq_dev = 0, 0.0, 0.0
     for start in range(0, trials, len(block)):
         w = block[: trials - start]
         rng.standard_normal(out=w)
         w *= scale
-        w += d
-        np.einsum("tmc,tmc->t", w, w, out=vals[start : start + len(w)])
-    mean = float(np.mean(vals))
-    if trials < 2:
-        return mean, 0.0
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(trials))
-    return mean, stderr
+        vals = np.einsum("tk,kp->tp", w, twice_dt, out=cross[: len(w)])
+        vals += np.einsum("tk,tk->t", w, w)[:, None]
+        n, chunk_mean = len(w), vals.mean(axis=0)
+        vals -= chunk_mean
+        step = chunk_mean - mean
+        mean = mean + step * (n / (count + n))
+        sq_dev = sq_dev + np.einsum("tp,tp->p", vals, vals) + step**2 * (count * n / (count + n))
+        count += n
+    mean += np.einsum("pk,pk->p", d, d)
+    stderr = np.sqrt(sq_dev / (trials - 1) / trials)
+    return mean.reshape(resid.shape[:-1])[()], stderr.reshape(resid.shape[:-1])[()]

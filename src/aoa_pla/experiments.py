@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -77,9 +76,10 @@ class ExperimentConfig:
                 )
             # a parameter whose default is an int, or a tuple of ints, is a count
             is_count = all(isinstance(v, int) for v in _entries(known[key]))
-            if is_count and not all(isinstance(v, numbers.Integral) and v >= 1 for v in _entries(value)):
+            least = dict(spec.least).get(key, 1)
+            if is_count and not all(isinstance(v, numbers.Integral) and v >= least for v in _entries(value)):
                 raise ValueError(
-                    f"override {key!r} for {self.figure_id} takes integers >= 1, got {value!r}"
+                    f"override {key!r} for {self.figure_id} takes integers >= {least}, got {value!r}"
                 )
             # theta and thetas hold the legitimate transmitter's angle
             for angle in _entries(value) if key in ("theta", "thetas") else ():
@@ -187,27 +187,6 @@ def _best_case_precoders(nums):
     return precoders
 
 
-def _pool_size():
-    """Threads that `_map_points` uses: the usable cores. It is not a user setting."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _map_points(call, points):
-    """[call(*point) for point in points], on up to `_pool_size()` threads, in point order.
-
-    For the Monte Carlo points of fig3 and fig7: numpy's Generator releases
-    the GIL while it fills an array, and each point draws from its own
-    `derive_rng` stream, so the results do not depend on the thread count.
-    """
-    # imported on first use: it pulls in logging, about 7 ms that every other command would pay at start-up
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(_pool_size()) as pool:
-        return list(pool.map(lambda point: call(*point), points))
-
-
 # --------------------------------------------------------------------------
 # figure runners
 
@@ -276,24 +255,20 @@ def run_fig3(config):
     noise = NoiseModel.from_db(p["snr_db"])
     phis = np.linspace(0.0, TWO_PI, p["phi_points"])
     betas = np.asarray(p["beta_pairs"], dtype=float)
-    # theory[pair_idx, k] and sim[pair_idx, k] = (mean, stderr) over the (beta pair, phi) grid
+    # theory[pair_idx, k], sim and stderr over the (beta pair, phi) grid
     # the pairs go in as given, so that a negative amplitude is reported as typed; the phi axis comes out first
     amplitudes = f"precoder amplitudes in 'beta_pairs' for {config.figure_id}"
     precoders = np.swapaxes(_precoders(p["beta_pairs"], phis[:, None, None], amplitudes), 0, 1)
-    theory = mse_delta(geom, p["theta"], (p["theta"], p["theta"]), precoders) + noise.floor
-
-    def point(pair_idx, k):
-        attacker = AttackerConfig((p["theta"], p["theta"]), precoders[pair_idx, k])
-        return monte_carlo_mse(geom, p["theta"], attacker, noise, p["trials"], derive_rng(config.seed, pair_idx, k))
-
-    sim = np.reshape(_map_points(point, np.ndindex(theory.shape)), theory.shape + (2,))
+    angles = (p["theta"], p["theta"])
+    theory = mse_delta(geom, p["theta"], angles, precoders) + noise.floor
+    sim, stderr = monte_carlo_mse(geom, p["theta"], angles, precoders, noise, p["trials"], derive_rng(config.seed))
     return _table(config, p, {
         "phi0_rad": np.broadcast_to(phis, theory.shape),
         "beta0": np.broadcast_to(betas[:, :1], theory.shape),
         "beta1": np.broadcast_to(betas[:, 1:], theory.shape),
         "zeta_theory": theory,
-        "zeta_sim": sim[..., 0],
-        "zeta_sim_stderr": sim[..., 1],
+        "zeta_sim": sim,
+        "zeta_sim_stderr": stderr,
     })
 
 
@@ -458,39 +433,39 @@ def _check_fig6(table):
     return results
 
 
+def _fig7_attackers(p, nums):
+    """(angles, precoders) of fig7's best-case attackers, aligned (row 0) and misaligned (row 1), of every size in `nums`."""
+    return np.array([p["theta"], p["theta"] + p["angle_gap"]])[:, None, None], _best_case_precoders(nums)
+
+
 def run_fig7(config):
     """MSE vs attacker antenna count, aligned and misaligned with Alice."""
     p = config.params()
     geom = ArrayGeometry(p["num_rx_antennas"])
     noise = NoiseModel.from_db(p["snr_db"])
     nums = p["num_attacker_antennas"]
-    theta_hats = (p["theta"], p["theta"] + p["angle_gap"])
-    # theory[cond, idx] and sim[cond, idx] = (mean, stderr) for the aligned (cond 0)
-    # and misaligned (cond 1) attackers
-    angles = np.asarray(theta_hats)[:, None, None]
-    precoders = _best_case_precoders(nums)
+    # theory[cond, idx], sim and stderr for the aligned (cond 0) and misaligned (cond 1) attackers
+    angles, precoders = _fig7_attackers(p, nums)
     theory = mse_delta(geom, p["theta"], angles, precoders) + noise.floor
-
-    def point(cond, idx):
-        num = nums[idx]
-        attacker = AttackerConfig((theta_hats[cond],) * num, precoders[idx, :num])
-        return monte_carlo_mse(geom, p["theta"], attacker, noise, p["trials"], derive_rng(config.seed, idx, cond))
-
-    sim = np.reshape(_map_points(point, np.ndindex(theory.shape)), theory.shape + (2,))
+    sim, stderr = monte_carlo_mse(geom, p["theta"], angles, precoders, noise, p["trials"], derive_rng(config.seed))
     return _table(config, p, {
         "num_attacker_antennas": nums,
         "zeta_aligned_theory": theory[0],
-        "zeta_aligned_sim": sim[0, :, 0],
-        "zeta_aligned_stderr": sim[0, :, 1],
+        "zeta_aligned_sim": sim[0],
+        "zeta_aligned_stderr": stderr[0],
         "zeta_misaligned_theory": theory[1],
-        "zeta_misaligned_sim": sim[1, :, 0],
-        "zeta_misaligned_stderr": sim[1, :, 1],
+        "zeta_misaligned_sim": sim[1],
+        "zeta_misaligned_stderr": stderr[1],
     })
 
 
 def _check_fig7(table):
-    aligned = _column(table, "zeta_aligned_theory")
-    misaligned = _column(table, "zeta_misaligned_theory")
+    p = table.metadata
+    # delta, not zeta: a large noise floor would absorb it in the theory columns
+    aligned, misaligned = mse_delta(
+        ArrayGeometry(p["num_rx_antennas"]), p["theta"],
+        *_fig7_attackers(p, _column(table, "num_attacker_antennas")),
+    )
     results = []
     spread = float(np.max(aligned) - np.min(aligned))
     results.append(CheckResult("aligned_constant_in_L", spread <= 1e-12, f"spread {spread:.3e}"))
@@ -510,11 +485,12 @@ def _check_fig7(table):
 
 
 class FigureSpec(NamedTuple):
-    """One figure: its default parameters, runner, checks, plot layout and sweep axes.
+    """One figure: its default parameters, runner, checks, plot layout, sweep axes and count floors.
 
     `plot` is `emit_plot`'s (kind, x_column, y_columns, group_by).
     `sweep_axes` names the parameters whose entries are sweep points, each
-    of which an override may not repeat.
+    of which an override may not repeat. `least` holds (count, least value)
+    pairs above 1: one Monte Carlo trial has no standard error to check.
     """
 
     defaults: dict
@@ -522,6 +498,7 @@ class FigureSpec(NamedTuple):
     check: Callable
     plot: tuple
     sweep_axes: tuple = ()
+    least: tuple = ()
 
 
 def _fig3d_spec(theta_hats):
@@ -555,6 +532,7 @@ FIGURES = {
         check=_check_fig3,
         plot=("line", "phi0_rad", ["zeta_theory", "zeta_sim"], ("beta0", "beta1")),
         sweep_axes=("beta_pairs",),
+        least=(("trials", 2),),
     ),
     "fig3d_same": _fig3d_spec(theta_hats=(0.4, 0.4)),
     "fig3d_diff": _fig3d_spec(theta_hats=(0.39, 0.41)),
@@ -590,6 +568,7 @@ FIGURES = {
             None,
         ),
         sweep_axes=("num_attacker_antennas",),
+        least=(("trials", 2),),
     ),
 }
 

@@ -18,10 +18,11 @@ The sample-covariance draw is kept as `synthesize_covariance` drew one
 covariance before it drew stacks, so that tests can require the library's
 one-covariance draw to give the same matrix.
 
-The Monte Carlo MSE is kept as one (trials, M, 2) draw, and the simulated
-columns of fig3 and fig7 as a serial loop over their points with it, so
-that tests can require the library's chunked draws and thread pool to
-give the same numbers.
+The Monte Carlo MSE is kept as one (trials, M, 2) draw shared by every
+sweep point and a loop over the points in the direct form ||d + w_t||^2,
+and the simulated columns of fig3 and fig7 as that loop over their
+points, so that tests can require the library's expanded, chunked and
+merged form to give the same numbers to within a stated rounding bound.
 """
 
 from __future__ import annotations
@@ -29,13 +30,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from aoa_pla.arrays import (
     TWO_PI,
     ArrayGeometry,
-    AttackerConfig,
     NoiseModel,
     SignalBlock,
     _precoders,
@@ -280,56 +281,83 @@ def synthesize_covariance(geom, wavefront, snr, num_snapshots, seed):
     return np.outer(mean, mean.conj()) + (var / num_snapshots) * (factor @ factor.conj().T)
 
 
-def monte_carlo_mse(geom, theta, attacker, noise, trials, seed):
-    """`attack.monte_carlo_mse` with the noise difference drawn as one (trials, M, 2) block."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    diff0 = steering_vector(geom, theta) - attack_wavefront(geom, attacker)
-    d = np.stack([diff0.real, diff0.imag], axis=-1)
-    if noise.floor == 0.0:
-        return float(np.einsum("mc,mc->", d, d)), 0.0
+class MonteCarloOracle(NamedTuple):
+    """`monte_carlo_mse`'s result: mean and standard error, and how far the library may round away from each."""
+
+    mean: np.ndarray
+    stderr: np.ndarray
+    mean_tol: np.ndarray
+    stderr_tol: np.ndarray
+
+
+def _gamma(n):
+    """gamma_n = n u / (1 - n u), u the unit roundoff: the relative error bound of an n-term float dot product."""
+    u = np.finfo(float).eps / 2.0
+    return n * u / (1.0 - n * u)
+
+
+def monte_carlo_mse(geom, theta, angles, precoders, noise, trials, seed):
+    """`attack.monte_carlo_mse` point by point: ||d + w_t||^2 over one shared (trials, M, 2) draw w.
+
+    Rounding bound. Write b_t = (||d|| + ||w_t||)^2 and n = 2M. This loop
+    forms ||d + w_t||^2, one n-term dot product; the library forms
+    ||d||^2 + 2 d.w_t + ||w_t||^2, three n-term dot products and two sums.
+    By the bound |fl(x.y) - x.y| <= gamma_n |x|.|y| and Cauchy-Schwarz, each
+    is within gamma_(n+2) b_t of the exact trial value, so the two trial
+    values differ by e_t with |e_t| <= 2 gamma_(n+2) b_t. Every trial value,
+    deviation, chunk mean and running mean either computation forms is at
+    most max_t b_t in size, and summing or merging T of them (pairwise here,
+    by chunks and Chan's update there) loses at most gamma_(8T) max_t b_t.
+    So the means differ by at most (2 gamma_(n+2) + gamma_(8T)) max_t b_t.
+    A sample standard deviation is the norm of a centred vector over
+    sqrt(T - 1) (in the library, the chunk deviations and the merge's
+    weighted mean steps). It moves by at most ||e|| / sqrt(T - 1) when the
+    values move by e (the triangle inequality), and by at most sqrt(2)
+    gamma_(8T) max_t b_t more when each entry of that vector is off by
+    gamma_(8T) max_t b_t, as the means it subtracts are. So the standard
+    errors differ by at most (2 gamma_(n+2) rms(b) + 3 gamma_(8T) max_t b_t)
+    / sqrt(T), with rms(b) = sqrt(sum_t b_t^2 / (T - 1)).
+    """
+    m = geom.num_elements
     rng = np.random.default_rng(seed)
-    w = rng.standard_normal((trials, geom.num_elements, 2))
-    w *= math.sqrt(noise.floor / geom.num_elements / 2.0)
-    w += d
-    vals = np.einsum("tmc,tmc->t", w, w)
-    mean = float(np.mean(vals))
-    if trials < 2:
-        return mean, 0.0
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(trials))
-    return mean, stderr
+    w = rng.standard_normal((trials, m, 2))
+    w *= math.sqrt(noise.floor / m / 2.0)
+    w_norm = np.sqrt(np.einsum("tmc,tmc->t", w, w))
+    theta, angles, precoders = np.broadcast_arrays(
+        np.asarray(theta, dtype=float)[..., None], np.asarray(angles, dtype=float), np.asarray(precoders, dtype=complex)
+    )
+    out = MonteCarloOracle(*(np.empty(theta.shape[:-1]) for _ in range(4)))
+    for idx in np.ndindex(theta.shape[:-1]):
+        diff = steering_vector(geom, theta[idx][0]) - precoders[idx] @ steering_vector(geom, angles[idx])
+        d = np.stack([diff.real, diff.imag], axis=-1)
+        vals = np.einsum("tmc,tmc->t", w + d, w + d)
+        b = (math.sqrt(np.einsum("mc,mc->", d, d)) + w_norm) ** 2
+        out.mean[idx] = np.mean(vals)
+        out.stderr[idx] = np.std(vals, ddof=1) / math.sqrt(trials)
+        out.mean_tol[idx] = (2.0 * _gamma(2 * m + 2) + _gamma(8 * trials)) * np.max(b)
+        rms = math.sqrt(np.sum(b**2) / (trials - 1))
+        out.stderr_tol[idx] = (2.0 * _gamma(2 * m + 2) * rms + 3.0 * _gamma(8 * trials) * np.max(b)) / math.sqrt(trials)
+    return out
 
 
 def fig3_sim(config):
-    """fig3's sim[pair_idx, k] = (mean, stderr), one point after another."""
+    """fig3's `monte_carlo_mse` oracle over its (beta pair, phi) grid, from the figure's one stream."""
     p = config.params()
-    geom = ArrayGeometry(p["num_rx_antennas"])
-    noise = NoiseModel.from_db(p["snr_db"])
     phis = np.linspace(0.0, TWO_PI, p["phi_points"])
     betas = np.asarray(p["beta_pairs"], dtype=float)
     precoders = _precoders(betas[:, None, :], phis[:, None])
-    sim = np.empty(precoders.shape[:2] + (2,))
-    for pair_idx, k in np.ndindex(precoders.shape[:2]):
-        attacker = AttackerConfig((p["theta"], p["theta"]), precoders[pair_idx, k])
-        sim[pair_idx, k] = monte_carlo_mse(
-            geom, p["theta"], attacker, noise, p["trials"], derive_rng(config.seed, pair_idx, k)
-        )
-    return sim
+    return monte_carlo_mse(
+        ArrayGeometry(p["num_rx_antennas"]), p["theta"], (p["theta"], p["theta"]), precoders,
+        NoiseModel.from_db(p["snr_db"]), p["trials"], derive_rng(config.seed),
+    )
 
 
 def fig7_sim(config):
-    """fig7's sim[cond, idx] = (mean, stderr), aligned (cond 0) and misaligned, one point after another."""
+    """fig7's `monte_carlo_mse` oracle, aligned (row 0) and misaligned (row 1), from the figure's one stream."""
     p = config.params()
-    geom = ArrayGeometry(p["num_rx_antennas"])
-    noise = NoiseModel.from_db(p["snr_db"])
     nums = p["num_attacker_antennas"]
-    theta_hats = (p["theta"], p["theta"] + p["angle_gap"])
-    precoders = _best_case_precoders(nums)
-    sim = np.empty((2, len(nums), 2))
-    for cond, idx in np.ndindex(sim.shape[:2]):
-        num = nums[idx]
-        attacker = AttackerConfig((theta_hats[cond],) * num, precoders[idx, :num])
-        sim[cond, idx] = monte_carlo_mse(
-            geom, p["theta"], attacker, noise, p["trials"], derive_rng(config.seed, idx, cond)
-        )
-    return sim
+    angles = np.array([p["theta"], p["theta"] + p["angle_gap"]])[:, None, None]
+    return monte_carlo_mse(
+        ArrayGeometry(p["num_rx_antennas"]), p["theta"], angles, _best_case_precoders(nums),
+        NoiseModel.from_db(p["snr_db"]), p["trials"], derive_rng(config.seed),
+    )

@@ -69,7 +69,7 @@ def test_criterion_1_noise_floor_minimum():
     attacker = AttackerConfig((0.4, 0.4), (0.5, 0.5))
     expected = 2.0 * 10.0 ** -1.5
     zeta = mse_closed_form(geom, 0.4, attacker, noise).zeta
-    sim, _ = monte_carlo_mse(geom, 0.4, attacker, noise, 10000, 0)
+    sim, _ = monte_carlo_mse(geom, 0.4, attacker.angles, attacker.precoders, noise, 10000, 0)
     elapsed = time.perf_counter() - t0
     closed_ok = abs(zeta - expected) <= 1e-9
     sim_ok = abs(sim - expected) / expected <= 0.02

@@ -438,11 +438,16 @@ def test_optimal_precoders_broadcast_over_sweep_axes():
             assert opt.rank[i, j] == one.rank
 
 
+def _mc(geom, theta, attacker, noise, trials, seed):
+    """`monte_carlo_mse` of one attacker configuration."""
+    return monte_carlo_mse(geom, theta, attacker.angles, attacker.precoders, noise, trials, seed)
+
+
 def test_monte_carlo_noiseless_equals_closed_form():
     geom = ArrayGeometry(8)
     att = AttackerConfig.single(0.1, 0.6, 0.3)
     noise = NoiseModel.noiseless()
-    mean, stderr = monte_carlo_mse(geom, 0.4, att, noise, 50, 0)
+    mean, stderr = _mc(geom, 0.4, att, noise, 50, 0)
     assert stderr == pytest.approx(0.0, abs=1e-12)
     assert mean == pytest.approx(mse_closed_form(geom, 0.4, att, noise).zeta, abs=1e-12)
 
@@ -451,7 +456,7 @@ def test_monte_carlo_matches_theory_within_error():
     geom = ArrayGeometry(16)
     att = AttackerConfig((0.4, 0.4), (0.5, 0.5))
     noise = NoiseModel.from_db(15.0)
-    mean, stderr = monte_carlo_mse(geom, 0.4, att, noise, 20000, 1)
+    mean, stderr = _mc(geom, 0.4, att, noise, 20000, 1)
     theory = mse_closed_form(geom, 0.4, att, noise).zeta
     assert abs(mean - theory) <= 4.0 * stderr
 
@@ -460,13 +465,11 @@ def test_monte_carlo_deterministic_and_validated():
     geom = ArrayGeometry(4)
     att = AttackerConfig.single(0.1)
     noise = NoiseModel.from_db(5.0)
-    assert monte_carlo_mse(geom, 0.4, att, noise, 100, 7) == monte_carlo_mse(
-        geom, 0.4, att, noise, 100, 7
-    )
-    with pytest.raises(ValueError):
-        monte_carlo_mse(geom, 0.4, att, noise, 0, 7)
-    mean, stderr = monte_carlo_mse(geom, 0.4, att, noise, 1, 7)
-    assert stderr == 0.0
+    assert _mc(geom, 0.4, att, noise, 100, 7) == _mc(geom, 0.4, att, noise, 100, 7)
+    # one trial has no standard error
+    for trials in (0, 1):
+        with pytest.raises(ValueError, match="trials must be >= 2"):
+            _mc(geom, 0.4, att, noise, trials, 7)
 
 
 # legitimate / attacker link SNRs (linear); math.inf is a noiseless link
@@ -483,7 +486,7 @@ MISALIGNED = AttackerConfig((0.4, 0.45), _precoders((0.5, 0.5), (0.0, 0.3)))
 def test_monte_carlo_mean_matches_theory_at_asymmetric_snrs(snr_legit, snr_attacker):
     geom = ArrayGeometry(16)
     noise = NoiseModel(snr_legit, snr_attacker)
-    mean, stderr = monte_carlo_mse(geom, 0.4, MISALIGNED, noise, 20000, 3)
+    mean, stderr = _mc(geom, 0.4, MISALIGNED, noise, 20000, 3)
     theory = mse_closed_form(geom, 0.4, MISALIGNED, noise).zeta
     assert abs(mean - theory) <= 4.0 * stderr
 
@@ -503,7 +506,7 @@ def test_monte_carlo_spread_matches_model(snr_legit, snr_attacker):
     m = geom.num_elements
     trials = 20000
     noise = NoiseModel(snr_legit, snr_attacker)
-    _, stderr = monte_carlo_mse(geom, 0.4, MISALIGNED, noise, trials, 5)
+    _, stderr = _mc(geom, 0.4, MISALIGNED, noise, trials, 5)
     sigma2 = noise.floor / m
     delta = mse_closed_form(geom, 0.4, MISALIGNED, noise).delta
     model_std = math.sqrt(m * sigma2**2 + 2.0 * sigma2 * delta)
@@ -524,25 +527,69 @@ def test_monte_carlo_draws_the_noise_difference_once():
     scale = math.sqrt(noise.floor / geom.num_elements / 2.0)
     diff0 = steering_vector(geom, 0.4) - att.precoders[0] * steering_vector(geom, 0.2)
     vals = [float(np.sum(np.abs(diff0 + scale * (p[:, 0] + 1j * p[:, 1])) ** 2)) for p in parts]
-    mean, stderr = monte_carlo_mse(geom, 0.4, att, noise, trials, 11)
+    mean, stderr = _mc(geom, 0.4, att, noise, trials, 11)
     assert mean == pytest.approx(float(np.mean(vals)), rel=1e-12)
     assert stderr == pytest.approx(float(np.std(vals, ddof=1)) / math.sqrt(trials), rel=1e-9)
+
+
+def _assert_matches_oracle(got, want):
+    """(mean, stderr) within the oracle's rounding bounds, which are themselves tight."""
+    mean, stderr = got
+    assert np.shape(mean) == np.shape(stderr) == want.mean.shape
+    assert np.all(np.abs(mean - want.mean) <= want.mean_tol), np.max(np.abs(mean - want.mean) / want.mean_tol)
+    assert np.all(np.abs(stderr - want.stderr) <= want.stderr_tol), np.max(
+        np.abs(stderr - want.stderr) / want.stderr_tol
+    )
+    # the bounds leave no room for a wrong trial count, chunk merge or scale
+    assert np.all(want.mean_tol <= 1e-9 * want.mean)
+    assert np.all(want.stderr_tol <= 1e-9 * want.stderr)
+
+
+# a 2 x 3 sweep of attackers: row 0 has one antenna (padded with a zero precoder), row 1 two
+SWEEP_ANGLES = np.array([[[0.2, 0.0], [0.4, 0.0], [-0.3, 0.0]], [[0.4, 0.45], [0.1, 0.7], [0.39, 0.41]]])
+SWEEP_PRECODERS = np.array([
+    [[0.9, 0.0], [1.0, 0.0], [0.5j, 0.0]],
+    [[0.5, 0.5 * cmath.exp(0.3j)], [0.3, 0.2j], [0.5, 0.5]],
+])
 
 
 @pytest.mark.parametrize(
     "noise",
     [pytest.param(NoiseModel.from_db(15.0), id="symmetric"), pytest.param(NoiseModel(math.inf, 10.0), id="legit-noiseless")],
 )
-def test_monte_carlo_chunked_draw_equals_one_block(noise):
-    """Chunks of `_DRAW_CHUNK` trials give one block's (mean, stderr) exactly, across every chunk boundary."""
-    chunk = attack._DRAW_CHUNK
-    for trials in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 7):
-        for m in (2, 10, 16):
-            geom = ArrayGeometry(m)
-            seed = trials * 100 + m
-            assert monte_carlo_mse(geom, 0.4, MISALIGNED, noise, trials, seed) == oracles.monte_carlo_mse(
-                geom, 0.4, MISALIGNED, noise, trials, seed
-            ), (trials, m)
+def test_monte_carlo_chunked_draw_equals_one_block(noise, monkeypatch):
+    """Chunks of `_DRAW_CHUNK` trials, merged by Chan's update, give one block's mean and std(ddof=1).
+
+    Not bit for bit: the expanded, chunked form rounds differently from the
+    direct one-block form, so they agree to the oracle's rounding bound.
+    """
+    for chunk in (1, 7, 1024):
+        monkeypatch.setattr(attack, "_DRAW_CHUNK", chunk)
+        for trials in (chunk - 1, chunk, chunk + 1, 2 * chunk + 7):
+            if trials < 2:
+                continue
+            for m in (2, 10, 16):
+                geom = ArrayGeometry(m)
+                seed = trials * 100 + m
+                args = (geom, 0.4, SWEEP_ANGLES, SWEEP_PRECODERS, noise, trials, seed)
+                _assert_matches_oracle(monte_carlo_mse(*args), oracles.monte_carlo_mse(*args))
+
+
+def test_monte_carlo_batch_shares_one_draw_across_sweep_shapes():
+    """Any broadcast of theta, angles and precoders gives the per-point oracle over the one shared draw."""
+    geom = ArrayGeometry(10)
+    noise = NoiseModel.from_db(5.0, 20.0)
+    thetas = np.array([0.1, 0.4, -0.2])[:, None]
+    cases = [
+        (0.4, MISALIGNED.angles, MISALIGNED.precoders),  # one point: scalars out
+        (0.4, MISALIGNED.angles, np.asarray(MISALIGNED.precoders) * np.array([[1.0], [2.0]])),  # shared angles
+        (thetas, SWEEP_ANGLES[1], SWEEP_PRECODERS[1]),  # S = (3, 3)
+        (0.4, SWEEP_ANGLES[:, :, None], SWEEP_PRECODERS[:, :, None]),  # S = (2, 3, 1)
+    ]
+    for theta, angles, precoders in cases:
+        args = (geom, theta, angles, precoders, noise, 300, 9)
+        _assert_matches_oracle(monte_carlo_mse(*args), oracles.monte_carlo_mse(*args))
+    assert all(isinstance(v, float) for v in monte_carlo_mse(geom, *cases[0], noise, 300, 9))
 
 
 def test_best_case_zeta_independent_of_num_antennas():

@@ -616,6 +616,9 @@ def test_cli_reproduce_rejects_override_of_wrong_shape(tmp_path, capsys):
         ("fig7", "num_attacker_antennas=0,"),
         ("fig6", "num_attacker_antennas=0"),
         ("fig7", "trials=2.5"),
+        # a standard error needs two trials
+        ("fig3", "trials=1"),
+        ("fig7", "trials=1"),
         ("fig2", "trials=0"),
         ("fig2", "grid_step=0"),
         ("fig6", "grid_step=0"),
