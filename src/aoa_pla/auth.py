@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .arrays import _check_legitimate_angle, attack_wavefront, derive_rng, legitimate_wavefront, synthesize_covariance
-from .music import DEFAULT_GRID_STEP, DegenerateSpectrumError, estimate_aoa, one_source_estimates
+from .music import DEFAULT_GRID_STEP, one_source_estimates, sample_covariance
 
 # trials drawn and estimated as one stack: (chunk, M, M) covariances and a (chunk, grid) spectrum;
 # 8 ran fig2 faster than 4 or 16, and keeps its peak memory within about 1 MB of one trial at a time
@@ -56,18 +56,17 @@ def enroll(identity, estimates):
 
 
 def verify(profile, block, geom, threshold, grid_step=DEFAULT_GRID_STEP):
-    """Authenticate a signal block against an enrolled profile."""
+    """Authenticate a signal block against an enrolled profile; a nan estimate (degenerate spectrum) rejects."""
     if not threshold > 0:
         raise ValueError("threshold must be > 0")
-    try:
-        measured = estimate_aoa(block, geom, num_sources=1, grid_step=grid_step)[0]
-    except DegenerateSpectrumError as exc:
+    measured = float(one_source_estimates(sample_covariance(block), geom, grid_step))
+    if math.isnan(measured):
         return AuthDecision(
             accepted=False,
             measured_angle=math.nan,
             deviation=math.inf,
             threshold=threshold,
-            diagnostic=f"degenerate spectrum: {exc}",
+            diagnostic="degenerate spectrum: found 0 local maxima, need 1",
         )
     deviation = abs(measured - profile.enrolled_angle)
     return AuthDecision(

@@ -370,17 +370,10 @@ def _check_fig5(table):
     snr = _column(table, "snr_eve_db")
     num = _column(table, "num_attacker_antennas")
     zeta = _column(table, "zeta")
-    results = []
-    # each curve (one antenna count) as a run of rows in SNR order, ties by zeta
-    order = np.lexsort((zeta, snr, num))
-    curve, z = num[order], zeta[order]
-    same_curve = curve[1:] == curve[:-1]
-    decreasing = bool(np.all(z[1:][same_curve] < z[:-1][same_curve]))
-    results.append(CheckResult("zeta_decreasing_in_snr_eve", decreasing))
-    order = np.argsort(snr, kind="stable")
-    s, z = snr[order], zeta[order]
-    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
-    spread = float(np.max(np.maximum.reduceat(z, starts) - np.minimum.reduceat(z, starts)))
+    # z[L, SNR], both axes sorted
+    _, _, z = _grid(snr, num, zeta)
+    results = [CheckResult("zeta_decreasing_in_snr_eve", bool(np.all(np.diff(z, axis=1) < 0)))]
+    spread = float(np.max(np.ptp(z, axis=0)))
     results.append(CheckResult("curves_coincide_across_L", spread <= 1e-12, f"max spread {spread:.3e}"))
     ref = zeta[snr == p["snr_alice_db"]]
     if ref.size:
@@ -490,7 +483,7 @@ class FigureSpec(NamedTuple):
     `plot` is `emit_plot`'s (kind, x_column, y_columns, group_by).
     `sweep_axes` names the parameters whose entries are sweep points, each
     of which an override may not repeat. `least` holds (count, least value)
-    pairs above 1: one Monte Carlo trial has no standard error to check.
+    pairs above 1: an array needs two elements, a standard error two trials.
     """
 
     defaults: dict
@@ -498,7 +491,7 @@ class FigureSpec(NamedTuple):
     check: Callable
     plot: tuple
     sweep_axes: tuple = ()
-    least: tuple = ()
+    least: tuple = (("num_rx_antennas", 2),)
 
 
 def _fig3d_spec(theta_hats):
@@ -532,7 +525,7 @@ FIGURES = {
         check=_check_fig3,
         plot=("line", "phi0_rad", ["zeta_theory", "zeta_sim"], ("beta0", "beta1")),
         sweep_axes=("beta_pairs",),
-        least=(("trials", 2),),
+        least=(("num_rx_antennas", 2), ("trials", 2)),
     ),
     "fig3d_same": _fig3d_spec(theta_hats=(0.4, 0.4)),
     "fig3d_diff": _fig3d_spec(theta_hats=(0.39, 0.41)),
@@ -568,7 +561,7 @@ FIGURES = {
             None,
         ),
         sweep_axes=("num_attacker_antennas",),
-        least=(("trials", 2),),
+        least=(("num_rx_antennas", 2), ("trials", 2)),
     ),
 }
 

@@ -112,17 +112,6 @@ def _find_peaks(grid, values):
     return peaks
 
 
-def _undetermined(eigenvalues, num_sources):
-    """True where the num_sources largest eigenvalues do not separate from the rest.
-
-    The gap is at most `_HERMITIAN_TOL` times the largest eigenvalue, as for a
-    zero or an identity matrix; `eigenvalues` is ascending along its last axis.
-    """
-    m = eigenvalues.shape[-1]
-    gap = eigenvalues[..., m - num_sources] - eigenvalues[..., m - num_sources - 1]
-    return gap <= _HERMITIAN_TOL * np.maximum(eigenvalues[..., -1], 0.0)
-
-
 def _heights(signal_basis, manifold):
     """Pseudospectrum 1 / max(M - ||E_s^H a||^2, tiny) over the grid, for (..., M, k) signal bases E_s.
 
@@ -135,21 +124,18 @@ def _heights(signal_basis, manifold):
     return 1.0 / np.maximum(denom, np.finfo(float).tiny)
 
 
-def pseudospectrum(mat, geom, grid_step=DEFAULT_GRID_STEP, num_sources=1):
-    """MUSIC pseudospectrum 1 / ||E_n^H a(theta)||^2 over the angle grid.
+def _spectrum(mat, geom, grid_step, num_sources):
+    """(grid, heights) of the MUSIC pseudospectrum 1 / ||E_n^H a||^2 of a covariance or of a (..., M, M) stack.
 
     E_n spans the M - num_sources eigenvectors with the smallest
-    eigenvalues of the covariance `mat`. The denominator is computed from
-    the num_sources principal eigenvectors E_s as M - ||E_s^H a||^2, the
-    same quantity (``||a||^2 = M``) at num_sources x M x grid cost. It
-    carries rounding of order 1e-15 * M, so heights near a noiseless
-    peak keep less relative precision than the noise-subspace sum, and a
-    denominator at or below zero is clamped. When the num_sources
-    largest eigenvalues do not separate from the rest (gap at most
-    `_HERMITIAN_TOL` times the largest eigenvalue, as for a zero or an
-    identity matrix) the signal subspace is undetermined: every height is
-    1 / (M - num_sources) and there is no peak. The returned `grid` is the
-    cached, read-only grid of `_manifold`.
+    eigenvalues. The denominator is computed from the num_sources principal
+    eigenvectors E_s as M - ||E_s^H a||^2 (`_heights`), the same quantity
+    (``||a||^2 = M``) at num_sources x M x grid cost, to rounding of order
+    1e-15 * M. When the num_sources largest eigenvalues do not separate
+    from the rest (gap at most `_HERMITIAN_TOL` times the largest
+    eigenvalue, as for a zero or an identity matrix) the signal subspace
+    is undetermined: every height is 1 / (M - num_sources), which has no
+    strict local maximum. `grid` is the cached, read-only grid of `_manifold`.
     """
     m = geom.num_elements
     if num_sources >= m:
@@ -157,13 +143,18 @@ def pseudospectrum(mat, geom, grid_step=DEFAULT_GRID_STEP, num_sources=1):
     if num_sources < 1:
         raise ValueError("num_sources must be >= 1")
     vals, vecs = hermitian_eig(mat)
-    if vals.size != m:
-        raise ValueError(f"covariance is {vals.size} x {vals.size}, the array has {m} elements")
+    if vals.shape[-1] != m:
+        raise ValueError(f"covariance is {vals.shape[-1]} x {vals.shape[-1]}, the array has {m} elements")
     grid, manifold = _manifold(geom, grid_step)
-    if _undetermined(vals, num_sources):
-        values = np.full(grid.shape, 1.0 / (m - num_sources))
-    else:
-        values = _heights(vecs[:, m - num_sources :], manifold)
+    values = _heights(vecs[..., m - num_sources :], manifold)
+    gap = vals[..., m - num_sources] - vals[..., m - num_sources - 1]
+    values[gap <= _HERMITIAN_TOL * np.maximum(vals[..., -1], 0.0)] = 1.0 / (m - num_sources)
+    return grid, values
+
+
+def pseudospectrum(mat, geom, grid_step=DEFAULT_GRID_STEP, num_sources=1):
+    """MUSIC pseudospectrum of the covariance `mat` over the angle grid (`_spectrum`), with its peaks."""
+    grid, values = _spectrum(mat, geom, grid_step, num_sources)
     return MusicSpectrum(grid=grid, values=values, peaks=_find_peaks(grid, values))
 
 
@@ -185,24 +176,18 @@ def estimate_aoa_from_covariance(mat, geom, num_sources=1, grid_step=DEFAULT_GRI
 
 
 def one_source_estimates(covs, geom, grid_step=DEFAULT_GRID_STEP):
-    """One-source MUSIC estimates of a (..., M, M) stack of covariances, shape (...).
+    """One-source MUSIC estimates of a covariance or a (..., M, M) stack, shape (...).
 
-    One batched eigendecomposition, the pseudospectrum of every principal
-    eigenvector over the cached manifold in one product, and the highest
-    `_peak_mask` peak of each, the first on a tie (the smaller angle). Each
-    entry equals `estimate_aoa_from_covariance(cov, geom, 1, grid_step)[0]`;
-    it is nan where that raises DegenerateSpectrumError: an undetermined
-    signal subspace, or a spectrum with no strict local maximum.
+    The highest `_peak_mask` peak of each `_spectrum` row, the first on a
+    tie (the smaller angle). Each entry equals
+    `estimate_aoa_from_covariance(cov, geom, 1, grid_step)[0]`, and is nan
+    where that raises DegenerateSpectrumError: the spectrum has no strict
+    local maximum, as when its signal subspace is undetermined.
     """
-    m = geom.num_elements
-    vals, vecs = hermitian_eig(covs)
-    if vals.shape[-1] != m:
-        raise ValueError(f"covariance is {vals.shape[-1]} x {vals.shape[-1]}, the array has {m} elements")
-    grid, manifold = _manifold(geom, grid_step)
-    values = _heights(vecs[..., m - 1 :], manifold)
+    grid, values = _spectrum(covs, geom, grid_step, 1)
     peaks = _peak_mask(values)
     best = np.argmax(np.where(peaks, values, -np.inf), axis=-1)
-    return np.where(np.any(peaks, axis=-1) & ~_undetermined(vals, 1), grid[best], np.nan)
+    return np.where(np.any(peaks, axis=-1), grid[best], np.nan)
 
 
 def estimate_aoa(block, geom, num_sources=1, grid_step=DEFAULT_GRID_STEP):

@@ -5,11 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aoa_pla import auth
-from aoa_pla.arrays import ArrayGeometry, AttackerConfig, NoiseModel, synthesize_attack, synthesize_legitimate
+from aoa_pla import auth, music
+from aoa_pla.arrays import ArrayGeometry, AttackerConfig, NoiseModel, SignalBlock, synthesize_attack, synthesize_legitimate
 from aoa_pla.auth import (
     AoaProfile,
     enroll,
@@ -20,6 +20,7 @@ from aoa_pla.auth import (
     verify,
 )
 from aoa_pla.experiments import ExperimentConfig, run_fig2
+from aoa_pla.music import DegenerateSpectrumError, estimate_aoa
 
 
 def test_enroll_statistics():
@@ -59,6 +60,55 @@ def test_verify_rejects_degenerate_block():
     assert not decision.accepted
     assert math.isinf(decision.deviation)
     assert decision.diagnostic
+
+
+def test_verify_makes_one_eigendecomposition_and_no_peak_list(monkeypatch):
+    calls = []
+    real_eig = music.hermitian_eig
+
+    def counting_eig(mat):
+        calls.append(np.shape(mat))
+        return real_eig(mat)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify left the batched estimator")
+
+    monkeypatch.setattr(music, "hermitian_eig", counting_eig)
+    for name in ("pseudospectrum", "estimate_aoa", "estimate_aoa_from_covariance", "peak_angles"):
+        monkeypatch.setattr(music, name, forbidden)
+    geom = ArrayGeometry(16)
+    block = synthesize_legitimate(geom, 0.4, NoiseModel.from_db(10.0), 128, 0)
+    assert verify(enroll("alice", [0.4]), block, geom, 0.05).accepted
+    assert calls == [(16, 16)]
+    assert not {"estimate_aoa", "DegenerateSpectrumError", "pseudospectrum"} & set(vars(auth))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 16),
+    st.integers(1, 40),
+    st.sampled_from((0.001, 0.05, 2.0)),
+    st.integers(0, 2**32 - 1),
+)
+@example(m=3, n=2, grid_step=0.001, seed=None)
+def test_verify_measures_what_estimate_aoa_measures(m, n, grid_step, seed):
+    """The estimate equals `estimate_aoa`'s, and is nan exactly where that raises; seed None is the all-zero block."""
+    geom = ArrayGeometry(m)
+    if seed is None:
+        samples = np.zeros((m, n), dtype=complex)
+    else:
+        rng = np.random.default_rng(seed)
+        samples = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    block = SignalBlock(samples)
+    decision = verify(enroll("alice", [0.4]), block, geom, 0.05, grid_step)
+    try:
+        expected = estimate_aoa(block, geom, grid_step=grid_step)[0]
+    except DegenerateSpectrumError as exc:
+        assert math.isnan(decision.measured_angle) and not decision.accepted
+        assert decision.diagnostic == f"degenerate spectrum: {exc}"
+    else:
+        assert decision.measured_angle == expected and type(decision.measured_angle) is float
+        assert decision.deviation == abs(expected - 0.4) and not decision.diagnostic
 
 
 def test_verify_threshold_validation():
@@ -108,8 +158,10 @@ def _degenerate_slots(monkeypatch, trials, slots):
     return drawn
 
 
-def test_far_frr_counts_degenerate_legitimate_trial_as_reject(monkeypatch):
-    drawn = _degenerate_slots(monkeypatch, 4, {(0, 0, 1): np.zeros})
+@pytest.mark.parametrize("side, rates", [(0, (1.0, 0.25)), (1, (0.75, 0.0))], ids=["legitimate", "attack"])
+def test_far_frr_counts_degenerate_trial_as_reject(monkeypatch, side, rates):
+    # side 0 is the legitimate link (a reject raises FRR), side 1 the attack (a reject lowers FAR)
+    drawn = _degenerate_slots(monkeypatch, 4, {(0, side, 1): np.zeros})
     geom = ArrayGeometry(8)
     noise = NoiseModel.from_db(20.0)
     # a threshold of 10 rad accepts every angle a real estimate can give
@@ -117,8 +169,7 @@ def test_far_frr_counts_degenerate_legitimate_trial_as_reject(monkeypatch):
         geom, 0.4, AttackerConfig.single(0.1), noise, [10.0], trials=4, seed=0, num_snapshots=50
     )
     assert len(drawn) == 8
-    assert frr == 0.25
-    assert far == 1.0
+    assert (far, frr) == rates
 
 
 def test_trial_estimates_degenerate_trial_is_nan(monkeypatch):

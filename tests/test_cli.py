@@ -628,6 +628,9 @@ def test_cli_reproduce_rejects_override_of_wrong_shape(tmp_path, capsys):
         # a repeated sweep point
         ("fig5", "num_attacker_antennas=1,1"),
         ("fig2", "num_rx_antennas=8,8"),
+        # an array needs two elements
+        ("fig5", "num_rx_antennas=1"),
+        ("fig2", "num_rx_antennas=1,2"),
     ],
 )
 def test_cli_reproduce_bad_figure_parameter_exits_2(tmp_path, capsys, figure, item):

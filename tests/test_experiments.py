@@ -68,6 +68,10 @@ def test_config_seed_is_an_integer_at_least_zero(figure_id):
         # a standard error needs two trials
         ("fig3", "trials", 1),
         ("fig7", "trials", 1),
+        # an array needs two elements
+        ("fig5", "num_rx_antennas", 1),
+        ("fig2", "num_rx_antennas", (1, 2)),
+        ("fig3d_diff", "num_rx_antennas", 1),
     ],
 )
 def test_config_counts_take_integers_at_least_one(figure_id, key, value):
