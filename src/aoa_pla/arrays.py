@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,6 +203,14 @@ def legitimate_wavefront(geom, theta):
     """a(theta), the legitimate transmitter's noiseless array response; theta must lie in [-pi/2, pi/2]."""
     _check_legitimate_angle(theta)
     return steering_vector(geom, theta)
+
+
+def _check_trials(trials, least, reason=""):
+    """ValueError, naming `trials`, unless it is an integer >= `least`."""
+    if not isinstance(trials, numbers.Integral):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
+    if trials < least:
+        raise ValueError(f"trials must be >= {least}{reason}, got {trials}")
 
 
 def _check_link(geom, wavefront, num_snapshots):

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arrays import steering_vector
+from .arrays import _check_trials, steering_vector
 
 __all__ = [
     "MseBreakdown",
@@ -166,7 +166,7 @@ def optimal_precoders(geom, theta, angles):
     return LeastSquaresOptimum(q, mse_delta(geom, theta, angles, q), np.count_nonzero(keep, axis=-1))
 
 
-# trials drawn at a time by `monte_carlo_mse`, into reused (this, 2M) and (this, P) blocks: 0.5 MB at fig3's 252 points
+# trials drawn at a time by `monte_carlo_mse`, into reused (this, 2M) and (2M + 1, this) blocks: 133 kB at M = 16
 _DRAW_CHUNK = 256
 
 
@@ -178,37 +178,52 @@ def monte_carlo_mse(geom, theta, angles, precoders, noise, trials, seed):
     Gaussian w of per-element variance noise.floor / M, drawn as a real
     (trials, 2M) array shared by every point (common random numbers): each
     point's mean and standard error keep their distribution, but the
-    errors of different points are correlated. Per chunk of at most
-    `_DRAW_CHUNK` trials, one (chunk, 2M) @ (2M, P) product gives the
-    cross terms 2 d.w_t of all P points, in numpy's einsum loop rather than
-    BLAS, whose two-thread calls on blocks this small stall for
-    milliseconds when its worker shares a core with the caller. The
-    chunks' means and sums of squared deviations are merged as in Chan,
-    Golub & LeVeque (1979). Returns (mean, standard error) of shape S.
+    errors of different points are correlated. A trial's value is
+    ||d||^2 + g.z_t with z_t = [w_t, ||w_t||^2] and g = [2 d, 1], so the
+    sample mean and variance of every point follow from the draw's first
+    two moments: the mean zbar of the z_t and their centred co-moment
+    C = sum_t (z_t - zbar)(z_t - zbar)^T, of size (2M + 1)^2 whatever the
+    number of points. Per chunk of at most `_DRAW_CHUNK` trials, the
+    co-moment is one product in numpy's einsum loop rather than BLAS,
+    whose two-thread calls on blocks this small stall for milliseconds
+    when its worker shares a core with the caller; the chunks' means and
+    co-moments are merged as in Chan, Golub & LeVeque (1979), with wbar
+    and sbar the parts of zbar. Each point then takes
+    ||d||^2 + 2 d.wbar + sbar as its mean and g^T C g / (T - 1) as its
+    sample variance, the same statistics of the same trials as the direct
+    form. Returns (mean, standard error) of shape S.
     """
-    if trials < 2:
-        raise ValueError(f"trials must be >= 2 for a standard error, got {trials}")
+    _check_trials(trials, 2, "for a standard error")
     resid = np.stack(list(_residuals(geom, theta, angles, precoders)), axis=-1)
     d = np.stack([resid.real, resid.imag], axis=-1).reshape(-1, 2 * geom.num_elements)
+    n = d.shape[1]
     rng = np.random.default_rng(seed)
     scale = math.sqrt(noise.floor / geom.num_elements / 2.0)
-    block = np.empty((min(trials, _DRAW_CHUNK), d.shape[1]))
-    cross = np.empty((len(block), len(d)))
-    twice_dt = np.ascontiguousarray(2.0 * d.T)
-    # mean and sum of squared deviations of 2 d.w_t + ||w_t||^2 over the first `count` trials
-    count, mean, sq_dev = 0, 0.0, 0.0
+    block = np.empty((min(trials, _DRAW_CHUNK), n))
+    z = np.empty((n + 1, len(block)))
+    # mean and co-moment of the z_t over the first `count` trials
+    count, zbar, co = 0, np.zeros(n + 1), np.zeros((n + 1, n + 1))
     for start in range(0, trials, len(block)):
         w = block[: trials - start]
         rng.standard_normal(out=w)
         w *= scale
-        vals = np.einsum("tk,kp->tp", w, twice_dt, out=cross[: len(w)])
-        vals += np.einsum("tk,tk->t", w, w)[:, None]
-        n, chunk_mean = len(w), vals.mean(axis=0)
-        vals -= chunk_mean
-        step = chunk_mean - mean
-        mean = mean + step * (n / (count + n))
-        sq_dev = sq_dev + np.einsum("tp,tp->p", vals, vals) + step**2 * (count * n / (count + n))
-        count += n
-    mean += np.einsum("pk,pk->p", d, d)
-    stderr = np.sqrt(sq_dev / (trials - 1) / trials)
+        zc = z[:, : len(w)]
+        zc[:n] = w.T
+        np.einsum("tk,tk->t", w, w, out=zc[n])
+        chunk_mean = zc.mean(axis=1)
+        zc -= chunk_mean[:, None]
+        step = chunk_mean - zbar
+        total = count + len(w)
+        zbar += step * (len(w) / total)
+        co += np.einsum("it,jt->ij", zc, zc)
+        co += np.outer(step, step) * (count * len(w) / total)
+        count = total
+    # g^T C g = 4 d.(C_ww d + C_ws) + C_ss, without forming g
+    spread = np.einsum("pk,kl->pl", d, co[:n, :n])
+    spread += co[:n, n]
+    var = 4.0 * np.einsum("pk,pk->p", d, spread) + co[n, n]
+    # a sum of squares, which rounding may leave just below 0 when it is 0
+    np.maximum(var, 0.0, out=var)
+    mean = np.einsum("pk,pk->p", d, d) + 2.0 * np.einsum("pk,k->p", d, zbar[:n]) + zbar[n]
+    stderr = np.sqrt(var / (trials - 1) / trials)
     return mean.reshape(resid.shape[:-1])[()], stderr.reshape(resid.shape[:-1])[()]

@@ -15,7 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrays import _check_legitimate_angle, attack_wavefront, derive_rng, legitimate_wavefront, synthesize_covariance
+from .arrays import (
+    _check_legitimate_angle,
+    _check_trials,
+    attack_wavefront,
+    derive_rng,
+    legitimate_wavefront,
+    synthesize_covariance,
+)
 from .music import DEFAULT_GRID_STEP, one_source_estimates, sample_covariance
 
 # trials drawn and estimated as one stack: (chunk, M, M) covariances and a (chunk, grid) spectrum;
@@ -126,8 +133,7 @@ def far_frr_sweep(
         raise ValueError("threshold list is empty")
     if not all(t > 0 for t in thresholds):
         raise ValueError("threshold must be > 0")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_trials(trials, 1)
     # a nan deviation compares False, so `<=` rejects it
     legit_dev, attack_dev = np.abs(
         trial_estimates(geom, theta, attacker, noise, num_snapshots, grid_step, trials, (seed,)) - theta

@@ -21,8 +21,9 @@ one-covariance draw to give the same matrix.
 The Monte Carlo MSE is kept as one (trials, M, 2) draw shared by every
 sweep point and a loop over the points in the direct form ||d + w_t||^2,
 and the simulated columns of fig3 and fig7 as that loop over their
-points, so that tests can require the library's expanded, chunked and
-merged form to give the same numbers to within a stated rounding bound.
+points, so that tests can require the library's moment form (each point's
+statistics from the draw's chunked and merged mean and co-moment) to give
+the same numbers to within a stated rounding bound.
 """
 
 from __future__ import annotations
@@ -299,30 +300,72 @@ def _gamma(n):
 def monte_carlo_mse(geom, theta, angles, precoders, noise, trials, seed):
     """`attack.monte_carlo_mse` point by point: ||d + w_t||^2 over one shared (trials, M, 2) draw w.
 
-    Rounding bound. Write b_t = (||d|| + ||w_t||)^2 and n = 2M. This loop
-    forms ||d + w_t||^2, one n-term dot product; the library forms
-    ||d||^2 + 2 d.w_t + ||w_t||^2, three n-term dot products and two sums.
-    By the bound |fl(x.y) - x.y| <= gamma_n |x|.|y| and Cauchy-Schwarz, each
-    is within gamma_(n+2) b_t of the exact trial value, so the two trial
-    values differ by e_t with |e_t| <= 2 gamma_(n+2) b_t. Every trial value,
-    deviation, chunk mean and running mean either computation forms is at
-    most max_t b_t in size, and summing or merging T of them (pairwise here,
-    by chunks and Chan's update there) loses at most gamma_(8T) max_t b_t.
-    So the means differ by at most (2 gamma_(n+2) + gamma_(8T)) max_t b_t.
-    A sample standard deviation is the norm of a centred vector over
-    sqrt(T - 1) (in the library, the chunk deviations and the merge's
-    weighted mean steps). It moves by at most ||e|| / sqrt(T - 1) when the
-    values move by e (the triangle inequality), and by at most sqrt(2)
-    gamma_(8T) max_t b_t more when each entry of that vector is off by
-    gamma_(8T) max_t b_t, as the means it subtracts are. So the standard
-    errors differ by at most (2 gamma_(n+2) rms(b) + 3 gamma_(8T) max_t b_t)
-    / sqrt(T), with rms(b) = sqrt(sum_t b_t^2 / (T - 1)).
+    Rounding bound, to first order in u. Write n = 2M, T = trials,
+    b_t = (||d|| + ||w_t||)^2, z_t = [w_t, ||w_t||^2] and g = [2 d, 1], so
+    that ||d + w_t||^2 = ||d||^2 + g.z_t. This loop forms ||d + w_t||^2, one
+    n-term dot product, within gamma_(n+2) b_t of the exact trial value
+    (the bound |fl(x.y) - x.y| <= gamma_n |x|.|y| and Cauchy-Schwarz). The
+    library forms the mean as ||d||^2 + 2 d.wbar + sbar and the sample
+    variance as g^T C g / (T - 1), C = sum_t (z_t - zbar)(z_t - zbar)^T,
+    with zbar and C merged over chunks by Chan's update.
+
+    Both sides take the same steering vectors; they form d = a - A q each
+    with its own L-term complex sum, each within gamma_(L+3) (1 + ||q||_1)
+    of the exact entry, so ||d - d_oracle|| <= eta = 2 gamma_(L+3)
+    (1 + ||q||_1) sqrt(M) and the trial values differ by at most
+    2 eta sqrt(b_t).
+
+    Mean. The library's ||d||^2 and ||w_t||^2 are within gamma_n of theirs,
+    2 d.wbar within gamma_n 2 ||d|| max_t ||w_t|| and the two additions
+    within gamma_2 max_t b_t. Every mean either side forms is a weighted
+    average of values at most max_t b_t in size (componentwise for zbar),
+    and summing or merging T of them (pairwise here; by chunks, and Chan's
+    update with weights k / (count + k) there) loses at most gamma_(8T)
+    max_t b_t between them. So the means differ by at most
+    (2 gamma_(n+2) + gamma_(8T)) max_t b_t + 2 eta sqrt(max_t b_t).
+
+    Standard deviation. Three kinds of error, each bounded on its own:
+    - Trial values. In exact arithmetic each side's sample standard
+      deviation is the norm of its centred trial values over sqrt(T - 1),
+      so values off by e move it by at most rms(e) (the triangle
+      inequality), rms(x) = sqrt(sum_t x_t^2 / (T - 1)). The library's
+      ||w_t||^2 is within gamma_n b_t, this loop's values within
+      gamma_(n+2) b_t, and d adds 2 eta sqrt(b_t): at most
+      2 gamma_(n+2) rms(b) + 2 eta rms(sqrt(b)).
+    - Means subtracted. This loop centres on a mean off by at most
+      eps = gamma_(8T) max_t b_t, which moves the norm by at most
+      sqrt(T) eps, sqrt(2) eps over sqrt(T - 1). In exact arithmetic the
+      library's g^T C g is the squared norm of the g.(z_t - chunk mean)
+      over the trials and the sqrt(weight) g.(merge step) over the merges,
+      weights that sum to at most T; its means are off componentwise by
+      gamma_(8T) max_t |z_ti|, so each entry by at most h = gamma_(8T)
+      (2 sum_k |d_k| max_t |w_tk| + max_t ||w_t||^2) and each step by
+      2 h: sqrt(5 T) h in all, at most sqrt(10) h over sqrt(T - 1).
+    - Products and sums. Write B = ||g||_1 sum_i |g_i| sum_t
+      (z_ti - zbar_i)^2. By Cauchy-Schwarz, (|g|.|x|)^2 <= ||g||_1
+      sum_i |g_i| x_i^2, and per coordinate the within-chunk squared
+      deviations and the weighted squared merge steps sum to the total, so
+      the absolute values of every term the library adds into g^T C g sum
+      to at most B. Each term is rounded by at most gamma_(c+5), c the
+      chunk size, the 2K chunk and merge additions of K chunks by
+      gamma_(2K) (c + 2K <= 2T + 1) and the quadratic form
+      4 d.(C_ww d + C_ws) + C_ss by gamma_(2n+2), so g^T C g is within
+      gamma_(2T+2n+8) B. This loop's sum of squared deviations is within
+      gamma_(T+3) of itself, and it is at most B too (|g.x| <= |g|.|x|). A variance off by Delta moves its
+      root by at most Delta / sqrt(V), and sqrt(V) >= sigma / 2 for this
+      loop's sample standard deviation sigma while the tightness asserts
+      hold (they keep this loop's own error below 1e-9 of sigma), so
+      together at most 2 gamma_(3T+2n+11) B / ((T - 1) sigma).
+    The standard errors are these sums over sqrt(T).
     """
     m = geom.num_elements
+    n = 2 * m
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((trials, m, 2))
     w *= math.sqrt(noise.floor / m / 2.0)
     w_norm = np.sqrt(np.einsum("tmc,tmc->t", w, w))
+    w_dev = np.abs(w - w.mean(axis=0))
+    sq = w_norm**2
     theta, angles, precoders = np.broadcast_arrays(
         np.asarray(theta, dtype=float)[..., None], np.asarray(angles, dtype=float), np.asarray(precoders, dtype=complex)
     )
@@ -332,11 +375,23 @@ def monte_carlo_mse(geom, theta, angles, precoders, noise, trials, seed):
         d = np.stack([diff.real, diff.imag], axis=-1)
         vals = np.einsum("tmc,tmc->t", w + d, w + d)
         b = (math.sqrt(np.einsum("mc,mc->", d, d)) + w_norm) ** 2
+        eta = 2.0 * _gamma(len(precoders[idx]) + 3) * (1.0 + np.sum(np.abs(precoders[idx]))) * math.sqrt(m)
         out.mean[idx] = np.mean(vals)
         out.stderr[idx] = np.std(vals, ddof=1) / math.sqrt(trials)
-        out.mean_tol[idx] = (2.0 * _gamma(2 * m + 2) + _gamma(8 * trials)) * np.max(b)
-        rms = math.sqrt(np.sum(b**2) / (trials - 1))
-        out.stderr_tol[idx] = (2.0 * _gamma(2 * m + 2) * rms + 3.0 * _gamma(8 * trials) * np.max(b)) / math.sqrt(trials)
+        out.mean_tol[idx] = (2.0 * _gamma(n + 2) + _gamma(8 * trials)) * np.max(b) + 2.0 * eta * math.sqrt(np.max(b))
+        rms_b, rms_root_b = (math.sqrt(np.sum(x**2) / (trials - 1)) for x in (b, np.sqrt(b)))
+        h = _gamma(8 * trials) * (2.0 * np.sum(np.abs(d) * np.max(np.abs(w), axis=0)) + np.max(sq))
+        g_abs = 2.0 * np.abs(d)  # |g| but its last entry, 1
+        mass = (np.sum(g_abs) + 1.0) * (np.einsum("mc,tmc->", g_abs, w_dev**2) + np.sum((sq - np.mean(sq)) ** 2))
+        sigma = out.stderr[idx] * math.sqrt(trials)
+        products = 2.0 * _gamma(3 * trials + 2 * n + 11) * mass / (trials - 1) / sigma if mass else 0.0
+        out.stderr_tol[idx] = (
+            2.0 * _gamma(n + 2) * rms_b
+            + 2.0 * eta * rms_root_b
+            + math.sqrt(2.0) * _gamma(8 * trials) * np.max(b)
+            + math.sqrt(10.0) * h
+            + products
+        ) / math.sqrt(trials)
     return out
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -470,6 +471,10 @@ def test_monte_carlo_deterministic_and_validated():
     for trials in (0, 1):
         with pytest.raises(ValueError, match="trials must be >= 2"):
             _mc(geom, 0.4, att, noise, trials, 7)
+    for trials in (2.5, 3.0, "10"):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            _mc(geom, 0.4, att, noise, trials, 7)
+    assert _mc(geom, 0.4, att, noise, np.int64(100), 7) == _mc(geom, 0.4, att, noise, 100, 7)
 
 
 # legitimate / attacker link SNRs (linear); math.inf is a noiseless link
@@ -558,10 +563,11 @@ SWEEP_PRECODERS = np.array([
     [pytest.param(NoiseModel.from_db(15.0), id="symmetric"), pytest.param(NoiseModel(math.inf, 10.0), id="legit-noiseless")],
 )
 def test_monte_carlo_chunked_draw_equals_one_block(noise, monkeypatch):
-    """Chunks of `_DRAW_CHUNK` trials, merged by Chan's update, give one block's mean and std(ddof=1).
+    """Chunks of `_DRAW_CHUNK` trials, their moments merged by Chan's update, give one block's mean and std(ddof=1).
 
-    Not bit for bit: the expanded, chunked form rounds differently from the
-    direct one-block form, so they agree to the oracle's rounding bound.
+    Not bit for bit: the moment form (each point's statistics from the
+    draw's mean and co-moment) rounds differently from the direct
+    one-block form, so they agree to the oracle's rounding bound.
     """
     for chunk in (1, 7, 1024):
         monkeypatch.setattr(attack, "_DRAW_CHUNK", chunk)
@@ -573,6 +579,50 @@ def test_monte_carlo_chunked_draw_equals_one_block(noise, monkeypatch):
                 seed = trials * 100 + m
                 args = (geom, 0.4, SWEEP_ANGLES, SWEEP_PRECODERS, noise, trials, seed)
                 _assert_matches_oracle(monte_carlo_mse(*args), oracles.monte_carlo_mse(*args))
+
+
+def test_monte_carlo_equal_trial_values_give_a_finite_stderr():
+    """Points whose two trials have the same value: the variance g^T C g rounds near 0, never to a nan root.
+
+    With z_t = [w_t, ||w_t||^2] and g = [2 d, 1], the two values differ by
+    g.(z_0 - z_1); each d here makes that 0, and L = M antennas reach any d.
+    """
+    geom = ArrayGeometry(4)
+    m = geom.num_elements
+    noise = NoiseModel.from_db(10.0)
+    w = np.random.default_rng(3).standard_normal((2, 2 * m)) * math.sqrt(noise.floor / m / 2.0)
+    dw, ds = w[0] - w[1], w[0] @ w[0] - w[1] @ w[1]
+    free = np.random.default_rng(1).standard_normal((200, 2 * m))
+    d = -ds * dw / (2.0 * (dw @ dw)) + free - np.outer(free @ dw, dw) / (dw @ dw)
+    angles = np.array([-0.9, -0.3, 0.2, 0.8])
+    target = steering_vector(geom, 0.4) - (d[:, 0::2] + 1j * d[:, 1::2])
+    precoders = np.linalg.solve(steering_vector(geom, angles).T, target.T).T
+    mean, stderr = monte_carlo_mse(geom, 0.4, angles, precoders, noise, 2, 3)
+    assert np.all(np.isfinite(stderr)) and np.all(stderr <= 1e-6 * mean)
+
+
+def test_monte_carlo_memory_does_not_grow_with_trials_times_points():
+    """The heap peak of one call stays within a few (P, 2M) residual arrays: nothing scales as chunk x P.
+
+    The complex residuals, their real (P, 2M) form and the one (P, 2M)
+    product with the co-moment are three arrays of that size; a fourth
+    covers the rest. A (chunk, P) block of trial values would be 8 of them
+    at M = 16.
+    """
+    geom = ArrayGeometry(16)
+    points = 20_000
+    rng = np.random.default_rng(0)
+    angles = rng.uniform(-1.0, 1.0, (points, 2))
+    precoders = rng.uniform(-1.0, 1.0, (points, 2)) + 1j * rng.uniform(-1.0, 1.0, (points, 2))
+    args = (geom, 0.4, angles, precoders, NoiseModel.from_db(15.0), 600, 0)
+    tracemalloc.start()
+    try:
+        mean, stderr = monte_carlo_mse(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mean.shape == stderr.shape == (points,)
+    assert peak <= 4 * points * 2 * geom.num_elements * 8
 
 
 def test_monte_carlo_batch_shares_one_draw_across_sweep_shapes():

@@ -228,8 +228,11 @@ def test_far_frr_validation():
     attacker = AttackerConfig.single(0.1)
     with pytest.raises(ValueError):
         far_frr_sweep(geom, 0.4, attacker, noise, [], 10, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
         far_frr_sweep(geom, 0.4, attacker, noise, [0.1], 0, 0)
+    for bad in (2.5, 3.0, "10"):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            far_frr_sweep(geom, 0.4, attacker, noise, [0.1], bad, 0)
     for bad in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="threshold must be > 0"):
             far_frr_sweep(geom, 0.4, attacker, noise, [0.05, bad], 10, 0)
