@@ -183,15 +183,17 @@ def monte_carlo_mse(geom, theta, angles, precoders, noise, trials, seed):
     sample mean and variance of every point follow from the draw's first
     two moments: the mean zbar of the z_t and their centred co-moment
     C = sum_t (z_t - zbar)(z_t - zbar)^T, of size (2M + 1)^2 whatever the
-    number of points. Per chunk of at most `_DRAW_CHUNK` trials, the
-    co-moment is one product in numpy's einsum loop rather than BLAS,
-    whose two-thread calls on blocks this small stall for milliseconds
-    when its worker shares a core with the caller; the chunks' means and
-    co-moments are merged as in Chan, Golub & LeVeque (1979), with wbar
-    and sbar the parts of zbar. Each point then takes
-    ||d||^2 + 2 d.wbar + sbar as its mean and g^T C g / (T - 1) as its
-    sample variance, the same statistics of the same trials as the direct
-    form. Returns (mean, standard error) of shape S.
+    number of points. Both come from sums of y_t = z_t - K, with K =
+    [0, ..., 0, noise.floor] the draw's exact expectation, so no chunk is
+    centred (Chan, Golub & LeVeque's shifted data, 1983):
+    C = sum_t y_t y_t^T - (sum_t y_t)(sum_t y_t)^T / T and
+    zbar = sum_t y_t / T + K. Per chunk of at most `_DRAW_CHUNK` trials,
+    y_t y_t^T adds up in numpy's einsum loop rather than BLAS, whose
+    two-thread calls on blocks this small stall for milliseconds when its
+    worker shares a core with the caller. Each point then takes
+    ||d||^2 + 2 d.wbar + sbar (the parts of zbar) as its mean and
+    g^T C g / (T - 1) as its sample variance, the same statistics of the
+    same trials as the direct form. Returns (mean, standard error) of shape S.
     """
     _check_trials(trials, 2, "for a standard error")
     resid = np.stack(list(_residuals(geom, theta, angles, precoders)), axis=-1)
@@ -200,24 +202,22 @@ def monte_carlo_mse(geom, theta, angles, precoders, noise, trials, seed):
     rng = np.random.default_rng(seed)
     scale = math.sqrt(noise.floor / geom.num_elements / 2.0)
     block = np.empty((min(trials, _DRAW_CHUNK), n))
-    z = np.empty((n + 1, len(block)))
-    # mean and co-moment of the z_t over the first `count` trials
-    count, zbar, co = 0, np.zeros(n + 1), np.zeros((n + 1, n + 1))
+    y = np.empty((n + 1, len(block)))
+    # sums of y_t and y_t y_t^T over the trials drawn so far
+    total, co = np.zeros(n + 1), np.zeros((n + 1, n + 1))
     for start in range(0, trials, len(block)):
         w = block[: trials - start]
         rng.standard_normal(out=w)
         w *= scale
-        zc = z[:, : len(w)]
-        zc[:n] = w.T
-        np.einsum("tk,tk->t", w, w, out=zc[n])
-        chunk_mean = zc.mean(axis=1)
-        zc -= chunk_mean[:, None]
-        step = chunk_mean - zbar
-        total = count + len(w)
-        zbar += step * (len(w) / total)
-        co += np.einsum("it,jt->ij", zc, zc)
-        co += np.outer(step, step) * (count * len(w) / total)
-        count = total
+        yc = y[:, : len(w)]
+        yc[:n] = w.T
+        np.einsum("tk,tk->t", w, w, out=yc[n])
+        yc[n] -= noise.floor
+        total += yc.sum(axis=1)
+        co += np.einsum("it,jt->ij", yc, yc)
+    co -= np.outer(total, total) / trials
+    zbar = total / trials
+    zbar[n] += noise.floor
     # g^T C g = 4 d.(C_ww d + C_ws) + C_ss, without forming g
     spread = np.einsum("pk,kl->pl", d, co[:n, :n])
     spread += co[:n, n]

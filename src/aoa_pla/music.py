@@ -31,14 +31,17 @@ def hermitian_eig(mat):
     """Eigendecomposition of a Hermitian matrix, or of each in a (..., M, M) stack.
 
     Returns (eigenvalues ascending, eigenvectors as orthonormal columns),
-    with the stack's leading axes. Rejects a stack in which any matrix's
-    Hermitian defect exceeds `_HERMITIAN_TOL` relative to that matrix's
-    largest entry magnitude, reporting the first such matrix.
+    with the stack's leading axes. Rejects a stack with an entry of
+    non-finite magnitude, and one in which any matrix's Hermitian defect
+    exceeds `_HERMITIAN_TOL` relative to that matrix's largest entry
+    magnitude, reporting the first such matrix.
     """
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     scale = np.maximum(1.0, np.max(np.abs(mat), axis=(-2, -1)))
+    if not np.all(np.isfinite(scale)):
+        raise ValueError("expected finite entries, got one of non-finite magnitude")
     defect = np.max(np.abs(mat - np.swapaxes(mat, -1, -2).conj()), axis=(-2, -1))
     bad = np.flatnonzero(defect > _HERMITIAN_TOL * scale)
     if bad.size:
@@ -46,11 +49,7 @@ def hermitian_eig(mat):
         raise NonHermitianError(
             f"Hermitian defect {defect.flat[first]:.3e} exceeds tolerance {_HERMITIAN_TOL * scale.flat[first]:.3e}"
         )
-    try:
-        eigenvalues, eigenvectors = np.linalg.eigh(mat)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
-        raise RuntimeError(f"eigendecomposition did not converge: {exc}") from exc
-    return eigenvalues, eigenvectors
+    return np.linalg.eigh(mat)
 
 
 @dataclass(frozen=True)

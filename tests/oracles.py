@@ -22,7 +22,7 @@ The Monte Carlo MSE is kept as one (trials, M, 2) draw shared by every
 sweep point and a loop over the points in the direct form ||d + w_t||^2,
 and the simulated columns of fig3 and fig7 as that loop over their
 points, so that tests can require the library's moment form (each point's
-statistics from the draw's chunked and merged mean and co-moment) to give
+statistics from the draw's sums about its known expectation) to give
 the same numbers to within a stated rounding bound.
 """
 
@@ -46,6 +46,7 @@ from aoa_pla.arrays import (
     legitimate_wavefront,
     steering_vector,
 )
+from aoa_pla import attack
 from aoa_pla.attack import dirichlet_ratio
 from aoa_pla.experiments import _best_case_precoders
 from aoa_pla.svgfig import (
@@ -297,65 +298,94 @@ def _gamma(n):
     return n * u / (1.0 - n * u)
 
 
+def _pairwise_depth(n):
+    """The most roundings any term takes in numpy's pairwise sum of n terms over a contiguous axis.
+
+    Below 8 terms numpy adds them one by one to -0.0 (the first addition is
+    exact); up to 128 it keeps 8 running sums of every eighth term, adds
+    them in a three-level tree and then adds the n % 8 left over one by
+    one; above 128 it sums two halves (the first a multiple of 8) and adds
+    them.
+    """
+    if n < 8:
+        return max(n - 1, 0)
+    if n <= 128:
+        return n // 8 - 1 + 3 + n % 8
+    half = n // 2 - n // 2 % 8
+    return 1 + max(_pairwise_depth(half), _pairwise_depth(n - half))
+
+
 def monte_carlo_mse(geom, theta, angles, precoders, noise, trials, seed):
     """`attack.monte_carlo_mse` point by point: ||d + w_t||^2 over one shared (trials, M, 2) draw w.
 
     Rounding bound, to first order in u. Write n = 2M, T = trials,
-    b_t = (||d|| + ||w_t||)^2, z_t = [w_t, ||w_t||^2] and g = [2 d, 1], so
-    that ||d + w_t||^2 = ||d||^2 + g.z_t. This loop forms ||d + w_t||^2, one
-    n-term dot product, within gamma_(n+2) b_t of the exact trial value
-    (the bound |fl(x.y) - x.y| <= gamma_n |x|.|y| and Cauchy-Schwarz). The
-    library forms the mean as ||d||^2 + 2 d.wbar + sbar and the sample
-    variance as g^T C g / (T - 1), C = sum_t (z_t - zbar)(z_t - zbar)^T,
-    with zbar and C merged over chunks by Chan's update.
+    F = noise.floor, s_t = ||w_t||^2, b_t = (||d|| + ||w_t||)^2,
+    y_t = [w_t, s_t - F] and g = [2 d, 1], so that
+    ||d + w_t||^2 = ||d||^2 + F + g.y_t, and rms(x) = sqrt(sum_t x_t^2 / (T - 1)).
+    Both sides take the same draw w_t. The library sums y_t and y_t y_t^T
+    over K chunks of at most c = `_DRAW_CHUNK` trials and forms
+    C = sum_t y_t y_t^T - (sum_t y_t)(sum_t y_t)^T / T, the mean
+    ||d||^2 + 2 d.wbar + sbar from zbar = sum_t y_t / T + [0, F] and the
+    sample variance g^T C g / (T - 1). Each summation order sets a gamma:
+    - numpy's pairwise sum of k terms over a contiguous axis rounds each
+      term at most p(k) times (`_pairwise_depth`): this loop's mean and
+      sum of squares over the T trials, and the library's sum over each
+      chunk, which it adds one chunk after another into `total`, so each
+      entry of `total` is within gamma_lam sum_t |y_ti| of exact,
+      lam = K - 1 + the largest p(chunk length);
+    - einsum's loop over one chunk adds at most c products in some order,
+      gamma_c, and the chunks' products add one after another, so each
+      entry of `co` is within gamma_(c+K-1) sum_t |y_ti| |y_tj| of exact;
+    - a dot product of n terms, in any order, is within gamma_n of the
+      dot product of the absolute values.
+    Both sides form d = a - A q each with its own L-term complex sum, each
+    within gamma_(L+3) (1 + ||q||_1) of the exact entry, so
+    ||d - d_oracle|| <= eta = 2 gamma_(L+3) (1 + ||q||_1) sqrt(M) and the
+    exact trial values differ by at most 2 eta sqrt(b_t). This loop's
+    trial values are within gamma_(n+2) b_t of exact (one rounding of
+    d + w_t, then an n-term dot product); the library's s_t - F is within
+    e_t = gamma_n s_t + u |s_t - F| (an n-term dot product, then the
+    subtraction), and its w_t are exact.
 
-    Both sides take the same steering vectors; they form d = a - A q each
-    with its own L-term complex sum, each within gamma_(L+3) (1 + ||q||_1)
-    of the exact entry, so ||d - d_oracle|| <= eta = 2 gamma_(L+3)
-    (1 + ||q||_1) sqrt(M) and the trial values differ by at most
-    2 eta sqrt(b_t).
+    Mean. The library's ||d||^2 is within gamma_n ||d||^2, each wbar_i
+    within gamma_(lam+1) mean_t |w_ti| (the sum, then the division),
+    2 d.wbar within 2 gamma_(n+lam+1) |d|.mean_t |w_t|, sbar within
+    mean(e) + gamma_(lam+1) r + u sbar, r = mean_t |s_t - F|, and the two
+    additions within gamma_2 of the sum of the three parts' sizes. As
+    ||d||^2 + 2 |d|.|w_t| + s_t <= b_t, that is at most
+    gamma_(n+lam+3) mean(b) + gamma_(lam+2) r. This loop's values add
+    gamma_(n+2) mean(b) to its mean, and their sum and the division
+    gamma_(p(T)+1) mean(b). So the means differ by at most
+    gamma_(2n+lam+p(T)+6) mean(b) + gamma_(lam+2) r + 2 eta mean(sqrt(b)).
 
-    Mean. The library's ||d||^2 and ||w_t||^2 are within gamma_n of theirs,
-    2 d.wbar within gamma_n 2 ||d|| max_t ||w_t|| and the two additions
-    within gamma_2 max_t b_t. Every mean either side forms is a weighted
-    average of values at most max_t b_t in size (componentwise for zbar),
-    and summing or merging T of them (pairwise here; by chunks, and Chan's
-    update with weights k / (count + k) there) loses at most gamma_(8T)
-    max_t b_t between them. So the means differ by at most
-    (2 gamma_(n+2) + gamma_(8T)) max_t b_t + 2 eta sqrt(max_t b_t).
-
-    Standard deviation. Three kinds of error, each bounded on its own:
+    Standard deviation. Four kinds of error, each bounded on its own:
     - Trial values. In exact arithmetic each side's sample standard
       deviation is the norm of its centred trial values over sqrt(T - 1),
-      so values off by e move it by at most rms(e) (the triangle
-      inequality), rms(x) = sqrt(sum_t x_t^2 / (T - 1)). The library's
-      ||w_t||^2 is within gamma_n b_t, this loop's values within
-      gamma_(n+2) b_t, and d adds 2 eta sqrt(b_t): at most
-      2 gamma_(n+2) rms(b) + 2 eta rms(sqrt(b)).
-    - Means subtracted. This loop centres on a mean off by at most
-      eps = gamma_(8T) max_t b_t, which moves the norm by at most
-      sqrt(T) eps, sqrt(2) eps over sqrt(T - 1). In exact arithmetic the
-      library's g^T C g is the squared norm of the g.(z_t - chunk mean)
-      over the trials and the sqrt(weight) g.(merge step) over the merges,
-      weights that sum to at most T; its means are off componentwise by
-      gamma_(8T) max_t |z_ti|, so each entry by at most h = gamma_(8T)
-      (2 sum_k |d_k| max_t |w_tk| + max_t ||w_t||^2) and each step by
-      2 h: sqrt(5 T) h in all, at most sqrt(10) h over sqrt(T - 1).
-    - Products and sums. Write B = ||g||_1 sum_i |g_i| sum_t
-      (z_ti - zbar_i)^2. By Cauchy-Schwarz, (|g|.|x|)^2 <= ||g||_1
-      sum_i |g_i| x_i^2, and per coordinate the within-chunk squared
-      deviations and the weighted squared merge steps sum to the total, so
-      the absolute values of every term the library adds into g^T C g sum
-      to at most B. Each term is rounded by at most gamma_(c+5), c the
-      chunk size, the 2K chunk and merge additions of K chunks by
-      gamma_(2K) (c + 2K <= 2T + 1) and the quadratic form
-      4 d.(C_ww d + C_ws) + C_ss by gamma_(2n+2), so g^T C g is within
-      gamma_(2T+2n+8) B. This loop's sum of squared deviations is within
-      gamma_(T+3) of itself, and it is at most B too (|g.x| <= |g|.|x|). A variance off by Delta moves its
-      root by at most Delta / sqrt(V), and sqrt(V) >= sigma / 2 for this
+      and the library's g^T C g is that squared norm for its own y_t, so
+      values off by x_t move it by at most rms(x) (centring is a
+      projection): at most gamma_(2n+2) rms(b) + u rms(s - F)
+      + 2 eta rms(sqrt(b)), from e_t, this loop's values and d.
+    - This loop's mean subtracted. It is off by at most
+      eps = gamma_(p(T)+1) mean(b), which moves the norm by at most
+      sqrt(T) eps, sqrt(2) eps over sqrt(T - 1).
+    - The library's products and sums. Write B = sum_t (|g|.|y_t|)^2 and
+      A_i = sum_t |y_ti|; by Cauchy-Schwarz (|g|.A)^2 <= T B. The co-moment
+      sums move g^T C g by at most gamma_(c+K-1) B, the two roundings of
+      `total` total^T / T and the errors of `total` by
+      gamma_(2 lam+2) (|g|.A)^2 / T <= gamma_(2 lam+2) B, the subtraction
+      from `co` by gamma_2 B, and the quadratic form
+      4 d.(C_ww d + C_ws) + C_ss by gamma_(2n+2) sum_ij |g_i| |g_j| |C_ij|
+      <= 2 gamma_(2n+2) B: Delta = gamma_(c+K+2 lam+4n+7) B in all. The
+      clip at 0 only moves g^T C g towards its exact value, which is not
+      negative. So the root of g^T C g / (T - 1) moves by at most
+      Delta / ((T - 1) s), s its exact value, and s >= sigma / 2 for this
       loop's sample standard deviation sigma while the tightness asserts
-      hold (they keep this loop's own error below 1e-9 of sigma), so
-      together at most 2 gamma_(3T+2n+11) B / ((T - 1) sigma).
+      hold (they keep every other term below 1e-9 of sigma): at most
+      2 Delta / ((T - 1) sigma).
+    - The last roundings. This loop's squared deviations (gamma_3), their
+      sum (gamma_p(T)), the division by T - 1, the root and the division
+      by sqrt(T), and the library's two divisions and root, move the
+      standard deviations by at most gamma_(p(T)+9) sigma in all.
     The standard errors are these sums over sqrt(T).
     """
     m = geom.num_elements
@@ -363,9 +393,12 @@ def monte_carlo_mse(geom, theta, angles, precoders, noise, trials, seed):
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((trials, m, 2))
     w *= math.sqrt(noise.floor / m / 2.0)
-    w_norm = np.sqrt(np.einsum("tmc,tmc->t", w, w))
-    w_dev = np.abs(w - w.mean(axis=0))
-    sq = w_norm**2
+    sq = np.einsum("tmc,tmc->t", w, w)
+    shifted = np.abs(sq - noise.floor)
+    chunk = min(trials, attack._DRAW_CHUNK)
+    num_chunks = -(-trials // chunk)
+    lam = num_chunks - 1 + max(_pairwise_depth(chunk), _pairwise_depth(trials - (num_chunks - 1) * chunk))
+    depth = _pairwise_depth(trials)
     theta, angles, precoders = np.broadcast_arrays(
         np.asarray(theta, dtype=float)[..., None], np.asarray(angles, dtype=float), np.asarray(precoders, dtype=complex)
     )
@@ -374,23 +407,26 @@ def monte_carlo_mse(geom, theta, angles, precoders, noise, trials, seed):
         diff = steering_vector(geom, theta[idx][0]) - precoders[idx] @ steering_vector(geom, angles[idx])
         d = np.stack([diff.real, diff.imag], axis=-1)
         vals = np.einsum("tmc,tmc->t", w + d, w + d)
-        b = (math.sqrt(np.einsum("mc,mc->", d, d)) + w_norm) ** 2
+        b = (math.sqrt(np.einsum("mc,mc->", d, d)) + np.sqrt(sq)) ** 2
         eta = 2.0 * _gamma(len(precoders[idx]) + 3) * (1.0 + np.sum(np.abs(precoders[idx]))) * math.sqrt(m)
         out.mean[idx] = np.mean(vals)
         out.stderr[idx] = np.std(vals, ddof=1) / math.sqrt(trials)
-        out.mean_tol[idx] = (2.0 * _gamma(n + 2) + _gamma(8 * trials)) * np.max(b) + 2.0 * eta * math.sqrt(np.max(b))
-        rms_b, rms_root_b = (math.sqrt(np.sum(x**2) / (trials - 1)) for x in (b, np.sqrt(b)))
-        h = _gamma(8 * trials) * (2.0 * np.sum(np.abs(d) * np.max(np.abs(w), axis=0)) + np.max(sq))
-        g_abs = 2.0 * np.abs(d)  # |g| but its last entry, 1
-        mass = (np.sum(g_abs) + 1.0) * (np.einsum("mc,tmc->", g_abs, w_dev**2) + np.sum((sq - np.mean(sq)) ** 2))
+        out.mean_tol[idx] = (
+            _gamma(2 * n + lam + depth + 6) * np.mean(b)
+            + _gamma(lam + 2) * np.mean(shifted)
+            + 2.0 * eta * np.mean(np.sqrt(b))
+        )
+        rms_b, rms_root_b, rms_shifted = (math.sqrt(np.sum(x**2) / (trials - 1)) for x in (b, np.sqrt(b), shifted))
+        mass = np.sum((np.einsum("mc,tmc->t", 2.0 * np.abs(d), np.abs(w)) + shifted) ** 2)  # B
         sigma = out.stderr[idx] * math.sqrt(trials)
-        products = 2.0 * _gamma(3 * trials + 2 * n + 11) * mass / (trials - 1) / sigma if mass else 0.0
+        products = 2.0 * _gamma(chunk + num_chunks + 2 * lam + 4 * n + 7) * mass / (trials - 1) / sigma if mass else 0.0
         out.stderr_tol[idx] = (
-            2.0 * _gamma(n + 2) * rms_b
+            _gamma(2 * n + 2) * rms_b
+            + _gamma(1) * rms_shifted
             + 2.0 * eta * rms_root_b
-            + math.sqrt(2.0) * _gamma(8 * trials) * np.max(b)
-            + math.sqrt(10.0) * h
+            + math.sqrt(2.0) * _gamma(depth + 1) * np.mean(b)
             + products
+            + _gamma(depth + 9) * sigma
         ) / math.sqrt(trials)
     return out
 

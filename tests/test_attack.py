@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aoa_pla.arrays import ArrayGeometry, AttackerConfig, NoiseModel, _precoders, steering_vector
-from aoa_pla import attack
+from aoa_pla import attack, experiments
 from aoa_pla.attack import (
     dirichlet_ratio,
     gram_matrix,
@@ -17,6 +17,7 @@ from aoa_pla.attack import (
     mse_delta,
     optimal_precoders,
 )
+from aoa_pla.experiments import ExperimentConfig
 import oracles
 from oracles import mse_delta_single, mse_gradient_single, optimal_single_precoder
 
@@ -545,7 +546,7 @@ def _assert_matches_oracle(got, want):
     assert np.all(np.abs(stderr - want.stderr) <= want.stderr_tol), np.max(
         np.abs(stderr - want.stderr) / want.stderr_tol
     )
-    # the bounds leave no room for a wrong trial count, chunk merge or scale
+    # the bounds leave no room for a wrong trial count, shift, chunk sum or scale
     assert np.all(want.mean_tol <= 1e-9 * want.mean)
     assert np.all(want.stderr_tol <= 1e-9 * want.stderr)
 
@@ -563,7 +564,7 @@ SWEEP_PRECODERS = np.array([
     [pytest.param(NoiseModel.from_db(15.0), id="symmetric"), pytest.param(NoiseModel(math.inf, 10.0), id="legit-noiseless")],
 )
 def test_monte_carlo_chunked_draw_equals_one_block(noise, monkeypatch):
-    """Chunks of `_DRAW_CHUNK` trials, their moments merged by Chan's update, give one block's mean and std(ddof=1).
+    """Chunks of `_DRAW_CHUNK` trials, summed about the draw's expectation, give one block's mean and std(ddof=1).
 
     Not bit for bit: the moment form (each point's statistics from the
     draw's mean and co-moment) rounds differently from the direct
@@ -579,6 +580,22 @@ def test_monte_carlo_chunked_draw_equals_one_block(noise, monkeypatch):
                 seed = trials * 100 + m
                 args = (geom, 0.4, SWEEP_ANGLES, SWEEP_PRECODERS, noise, trials, seed)
                 _assert_matches_oracle(monte_carlo_mse(*args), oracles.monte_carlo_mse(*args))
+
+
+@pytest.mark.parametrize("figure_id, seed", [("fig3", 0), ("fig7", 5)])
+def test_monte_carlo_figures_match_the_oracle_at_paper_defaults(figure_id, seed, monkeypatch):
+    """The figure's one call at the paper's 10^4 trials is within the oracle's bounds, and they stay tight there."""
+    calls = []
+
+    def record(*args):
+        calls.append(monte_carlo_mse(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(experiments, "monte_carlo_mse", record)
+    config = ExperimentConfig(figure_id, seed=seed)
+    experiments.run_figure(config)
+    (got,) = calls
+    _assert_matches_oracle(got, getattr(oracles, f"{figure_id}_sim")(config))
 
 
 def test_monte_carlo_equal_trial_values_give_a_finite_stderr():

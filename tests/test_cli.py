@@ -178,6 +178,33 @@ def test_cli_music_bad_blocks_exit_2(tmp_path, capsys):
     assert "local maxima" in capsys.readouterr().err
 
 
+def test_cli_overflowing_covariance_exits_2(tmp_path, capsys):
+    # finite samples whose sample covariance overflows: an error, not a degenerate spectrum
+    block = tmp_path / "big.txt"
+    block.write_text("2 1\n1e200+0j,1e200+0j\n")
+    acl = tmp_path / "acl.txt"
+    save_acl(acl, [enroll("alice", [0.4])])
+    verify = ["verify", "--acl", str(acl), "--identity", "alice", "--threshold", "0.05"]
+    for argv in (["music"], verify):
+        with pytest.warns(RuntimeWarning) as warned:
+            assert main(argv + ["--input", str(block)]) == 2
+        assert "overflow encountered in matmul" in str(warned[0].message)
+        captured = capsys.readouterr()
+        assert "error: expected finite entries, got one of non-finite magnitude" in captured.err
+        assert captured.out == ""
+
+
+def test_cli_music_eigh_failure_exits_2(tmp_path, capsys, monkeypatch):
+    def fail(mat):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    block = tmp_path / "blk.txt"
+    block.write_text("2 1\n1+0j,1+0j\n")
+    assert main(["music", "--input", str(block)]) == 2
+    assert "error: Eigenvalues did not converge" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("m", [3, 16])
 def test_cli_all_zero_block_is_degenerate(tmp_path, capsys, m):
     # a zero covariance has no signal subspace, so its spectrum is flat

@@ -60,6 +60,15 @@ def test_hermitian_eig_rejects_bad_input():
         hermitian_eig(np.array([[1.0, 2.0], [3.0, 1.0]]))
     with pytest.raises(ValueError):
         hermitian_eig(np.zeros((2, 3)))
+    # a nan Hermitian defect compares False, so a non-finite entry needs its own check
+    for bad in (math.inf, math.nan, complex(math.inf, 0.0), complex(0.0, math.nan)):
+        stack = np.stack([np.eye(3, dtype=complex)] * 2)
+        stack[1, 0, 2] = stack[1, 2, 0] = bad
+        for mat in (stack[1], stack):
+            with pytest.raises(ValueError, match="non-finite magnitude"):
+                hermitian_eig(mat)
+    vals, _ = hermitian_eig(1e300 * np.eye(2))
+    assert np.allclose(vals, 1e300, rtol=1e-12, atol=0.0)
 
 
 def test_angle_grid_contains_round_decimals():
