@@ -106,15 +106,19 @@ def gram_matrix(geom, angles):
 def _residuals(geom, theta, angles, precoders):
     """a_m(theta) - sum_l q_l a_m(theta_hat_l), of the sweep shape S, for each element m in turn.
 
-    Shapes are those of `mse_delta`. Besides `arrays.steering_vector`, this
-    is the one place that writes the phase law.
+    Shapes are those of `mse_delta`; a 0-d `angles` is one antenna shared
+    by every precoder. The sum over the L antennas is one einsum
+    contraction per element, which forms no array of the products and
+    calls no BLAS, so no byte depends on the thread count. Besides
+    `arrays.steering_vector`, this is the one place that writes the phase
+    law.
     """
     s = np.sin(np.asarray(theta, dtype=float))
-    sines = np.sin(np.asarray(angles, dtype=float))
+    sines = np.sin(np.atleast_1d(np.asarray(angles, dtype=float)))
     q = np.asarray(precoders, dtype=complex)
     kappa = geom.wavenumber_scale
     for m in range(geom.num_elements):
-        yield np.exp(-1j * kappa * m * s) - np.sum(q * np.exp(-1j * kappa * m * sines), axis=-1)
+        yield np.exp(-1j * kappa * m * s) - np.einsum("...l,...l->...", q, np.exp(-1j * kappa * m * sines))
 
 
 def mse_delta(geom, theta, angles, precoders):
@@ -123,8 +127,9 @@ def mse_delta(geom, theta, angles, precoders):
     `theta` has shape S; `angles` and `precoders` have shape S + (L,), or
     any shape whose leading axes broadcast against S, e.g. (L,) when one
     attacker is shared by the whole sweep. Returns an array of the
-    broadcast shape S. It sums over the M elements one at a time, so memory
-    stays at a few arrays of the sweep's size.
+    broadcast shape S. It sums over the M elements one at a time, each
+    element's attacker sum one einsum contraction over L, so memory stays
+    at a few arrays of the sweep's size.
     """
     return sum(resid.real**2 + resid.imag**2 for resid in _residuals(geom, theta, angles, precoders))
 

@@ -23,8 +23,13 @@ class NonHermitianError(ValueError):
 
 
 def sample_covariance(block):
-    """(1/N) * sum_i x_i x_i^H over the snapshot columns. Hermitian PSD."""
-    return (block.samples @ block.samples.conj().T) / block.num_snapshots
+    """(1/N) * sum_i x_i x_i^H over the snapshot columns. Hermitian PSD.
+
+    Finite samples can still overflow it; the non-finite entries that
+    result are `hermitian_eig`'s to reject, so numpy does not warn of them.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (block.samples @ block.samples.conj().T) / block.num_snapshots
 
 
 def hermitian_eig(mat):

@@ -2,8 +2,11 @@
 
 The library renders tables and charts from arrays. These compute the same
 output one row, one point or one cell at a time, with the scalar colour
-map `_color`, so that tests can require the library's bytes to equal
-theirs. Axes and ticks come from `aoa_pla.svgfig`, which keeps them scalar.
+map `_rgb`, so that tests can require the library's bytes to equal
+theirs. A surface's cells are pixels of one embedded PNG, whose
+compressed bytes depend on the zlib build: tests compare surfaces through
+`decode_surface`, pixel by pixel and by the SVG text around the PNG.
+Axes and ticks come from `aoa_pla.svgfig`, which keeps them scalar.
 
 The single-antenna attacker's closed forms (the paper's Case 2) are kept
 here too: its MSE and gradient through the Dirichlet ratio, and its
@@ -28,7 +31,10 @@ the same numbers to within a stated rounding bound.
 
 from __future__ import annotations
 
+import base64
 import math
+import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -63,14 +69,77 @@ from aoa_pla.svgfig import (
 )
 
 
-def _color(frac):
-    """The colour-map colour of one fraction, as `rgb(r,g,b)`."""
+def _rgb(frac):
+    """The colour-map colour of one fraction, as (r, g, b)."""
     frac = min(max(frac, 0.0), 1.0)
     pos = frac * (len(_CMAP) - 1)
     i = min(int(pos), len(_CMAP) - 2)
     w = pos - i
-    rgb = [round(a + (b - a) * w) for a, b in zip(_CMAP[i], _CMAP[i + 1])]
-    return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
+    return tuple(round(a + (b - a) * w) for a, b in zip(_CMAP[i], _CMAP[i + 1]))
+
+
+def _color(frac):
+    """The colour-map colour of one fraction, as `rgb(r,g,b)`."""
+    return "rgb({},{},{})".format(*_rgb(frac))
+
+
+_PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
+_PNG_URI = "data:image/png;base64,"
+
+
+def _png_chunk(tag, data):
+    return struct.pack(">I", len(data)) + tag + data + struct.pack(">I", zlib.crc32(tag + data))
+
+
+def _png(rows):
+    """An 8-bit RGBA PNG of rows of (r, g, b, a) pixels, top row first, stored uncompressed."""
+    scanlines = b"".join(b"\0" + bytes(channel for pixel in row for channel in pixel) for row in rows)
+    header = struct.pack(">IIBBBBB", len(rows[0]), len(rows), 8, 6, 0, 0, 0)
+    return (
+        _PNG_SIGNATURE
+        + _png_chunk(b"IHDR", header)
+        + _png_chunk(b"IDAT", zlib.compress(scanlines, 0))
+        + _png_chunk(b"IEND", b"")
+    )
+
+
+def decode_surface(svg):
+    """(`svg` with its one PNG data URI emptied, the PNG's pixel rows), to compare surface charts by.
+
+    The PNG is decoded with the stdlib alone: base64, a walk over its
+    chunks that checks each CRC, zlib of the IDAT data, and filter type 0
+    (none) on every scanline. Pixels are (r, g, b, a) tuples, top row
+    first. ValueError when the PNG is not an 8-bit RGBA image of that form.
+    """
+    head, rest = svg.split(_PNG_URI)
+    payload, tail = rest.split('"', 1)
+    png = base64.b64decode(payload, validate=True)
+    if not png.startswith(_PNG_SIGNATURE):
+        raise ValueError("no PNG signature")
+    chunks, pos = [], len(_PNG_SIGNATURE)
+    while pos < len(png):
+        (length,) = struct.unpack(">I", png[pos : pos + 4])
+        tag, data = png[pos + 4 : pos + 8], png[pos + 8 : pos + 8 + length]
+        (crc,) = struct.unpack(">I", png[pos + 8 + length : pos + 12 + length])
+        if crc != zlib.crc32(tag + data):
+            raise ValueError(f"bad CRC in chunk {tag!r}")
+        chunks.append((tag, data))
+        pos += 12 + length
+    if chunks[0][0] != b"IHDR" or chunks[-1] != (b"IEND", b""):
+        raise ValueError("the chunks must run from IHDR to an empty IEND")
+    width, height, *form = struct.unpack(">IIBBBBB", chunks[0][1])
+    if form != [8, 6, 0, 0, 0]:
+        raise ValueError(f"expected 8-bit RGBA, deflate, filter set 0 and no interlace, got {form}")
+    raw = zlib.decompress(b"".join(data for tag, data in chunks if tag == b"IDAT"))
+    stride = 1 + 4 * width
+    if len(raw) != height * stride:
+        raise ValueError(f"{len(raw)} bytes of scanlines for a {width} x {height} image")
+    rows = []
+    for start in range(0, len(raw), stride):
+        if raw[start] != 0:
+            raise ValueError(f"scanline filter type {raw[start]}, not 0")
+        rows.append(tuple(tuple(raw[i : i + 4]) for i in range(start + 1, start + stride, 4)))
+    return head + _PNG_URI + tail, tuple(rows)
 
 
 def write_csv(table, path):
@@ -129,10 +198,12 @@ def line_chart(x, series, x_label="", y_label=""):
 
 
 def surface_chart(x, y, z, x_label="", y_label="", z_label=""):
-    """`svgfig.surface_chart`, one `_color` and four `_fmt` calls per cell.
+    """`svgfig.surface_chart`, one `_rgb` call per cell into a pixel grid.
 
-    As in the library, the colour range spans the finite cells and a
-    non-finite cell gets no `<rect>`.
+    As in the library, the colour range spans the finite cells, the last y
+    is the top row and a non-finite cell is a transparent pixel. Only the
+    PNG's compression differs from the library's, which `decode_surface`
+    looks through.
     """
     xs = [float(v) for v in x]
     ys = [float(v) for v in y]
@@ -145,24 +216,18 @@ def surface_chart(x, y, z, x_label="", y_label="", z_label=""):
     span = (z_hi - z_lo) or 1.0
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
-    cell_w = plot_w / len(xs)
-    cell_h = plot_h / len(ys)
 
+    pixels = []
+    for row in reversed(z):
+        pixels.append([(*_rgb((float(v) - z_lo) / span), 255) if math.isfinite(v) else (0, 0, 0, 0) for v in row])
+    uri = _PNG_URI + base64.b64encode(_png(pixels)).decode("ascii")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<image x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" preserveAspectRatio="none" '
+        f'image-rendering="optimizeSpeed" style="image-rendering:pixelated" href="{uri}"/>',
     ]
-    for iy, row in enumerate(z):
-        py = HEIGHT - MARGIN_B - (iy + 1) * cell_h
-        for ix, val in enumerate(row):
-            if not math.isfinite(val):
-                continue
-            px = MARGIN_L + ix * cell_w
-            parts.append(
-                f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(cell_w + 0.5)}" '
-                f'height="{_fmt(cell_h + 0.5)}" fill="{_color((float(val) - z_lo) / span)}"/>'
-            )
     _axes(parts, xs[0], xs[-1], ys[0], ys[-1], x_label, y_label)
     # color bar
     bar_x = WIDTH - MARGIN_R + 30

@@ -272,6 +272,38 @@ def test_mse_delta_broadcasts_over_sweep_axes():
             assert got[i, j] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+def _random_precoders(rng, shape):
+    return rng.uniform(0.0, 1.0, size=shape) * np.exp(1j * rng.uniform(0.0, 6.0, size=shape))
+
+
+def test_mse_delta_broadcasts_in_the_runners_layouts():
+    rng = np.random.default_rng(11)
+    geom = ArrayGeometry(16)
+    # fig5: one 0-d angle shared by rows of precoders
+    precoders = _random_precoders(rng, (4, 12))
+    got = mse_delta(geom, 0.4, 0.4, precoders)
+    assert got.shape == (4,)
+    for i in range(4):
+        want = brute_delta_multi(geom, 0.4, AttackerConfig((0.4,) * 12, precoders[i]))
+        assert got[i] == pytest.approx(want, rel=1e-12)
+    # fig3d: one (L,) attacker shared by an (S0, S1, L) precoder grid
+    angles = (0.39, 0.41)
+    precoders = _random_precoders(rng, (3, 4, 2))
+    got = mse_delta(geom, 0.4, angles, precoders)
+    assert got.shape == (3, 4)
+    for idx in np.ndindex(3, 4):
+        assert got[idx] == pytest.approx(brute_delta_multi(geom, 0.4, AttackerConfig(angles, precoders[idx])), rel=1e-12)
+    # fig6: (S, 1, 1) angles against (1, L) precoders and a (2,) theta
+    grid = rng.uniform(-math.pi, math.pi, size=7)
+    thetas = np.array([0.2, 0.4])
+    precoders = _random_precoders(rng, (1, 3))
+    got = mse_delta(geom, thetas, grid[:, None, None], precoders)
+    assert got.shape == (7, 2)
+    for i, j in np.ndindex(7, 2):
+        want = brute_delta_multi(geom, thetas[j], AttackerConfig((grid[i],) * 3, precoders[0]))
+        assert got[i, j] == pytest.approx(want, rel=1e-12)
+
+
 def test_closed_form_single_reduction():
     geom = ArrayGeometry(12)
     noise = NoiseModel.noiseless()

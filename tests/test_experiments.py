@@ -211,7 +211,26 @@ def test_outputs_equal_the_scalar_oracles(figure_id, tmp_path, monkeypatch):
     kind, x_col, y_cols, group = experiments.FIGURES[figure_id].plot
     emit_plot(table, kind, tmp_path / "oracle.svg", x_col, y_cols, group)
     assert csv_path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
-    assert svg_path.read_bytes() == (tmp_path / "oracle.svg").read_bytes()
+    if kind == "surface":
+        # the pixels and the text around them; the PNG's compressed bytes depend on the zlib build
+        want = oracles.decode_surface((tmp_path / "oracle.svg").read_text())
+        assert oracles.decode_surface(svg_path.read_text()) == want
+    else:
+        assert svg_path.read_bytes() == (tmp_path / "oracle.svg").read_bytes()
+
+
+@pytest.mark.parametrize("figure_id", ["fig3d_same", "fig3d_diff"])
+def test_fig3d_svg_at_paper_defaults_is_one_small_png(figure_id, tmp_path, monkeypatch):
+    table, _, _, svg_path = reproduce(ExperimentConfig(figure_id, output_dir=str(tmp_path)))
+    svg = svg_path.read_text()
+    assert svg_path.stat().st_size < 100_000
+    _, pixels = oracles.decode_surface(svg)
+    side = ExperimentConfig(figure_id).params()["phi_points"]
+    assert (len(pixels), len(pixels[0])) == (side, side)
+    monkeypatch.setattr(svgfig, "surface_chart", oracles.surface_chart)
+    kind, x_col, y_cols, group = experiments.FIGURES[figure_id].plot
+    emit_plot(table, kind, tmp_path / "oracle.svg", x_col, y_cols, group)
+    assert oracles.decode_surface(svg) == oracles.decode_surface((tmp_path / "oracle.svg").read_text())
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ import oracles
 from aoa_pla import svgfig
 from aoa_pla.experiments import ResultTable, write_csv
 from aoa_pla.svgfig import _CMAP, _color_keys, _key_color
-from oracles import _color
+from oracles import _color, decode_surface
 
 
 def _batched_colors(fracs):
@@ -61,7 +61,8 @@ def test_surface_chart_matches_scalar_oracle(shape):
     x = np.sort(rng.uniform(-2.0, 2.0, shape[1]))
     y = np.sort(rng.uniform(0.0, 3.0, shape[0]))
     for z in (rng.normal(size=shape), np.full(shape, 0.25), np.round(rng.normal(size=shape), 1)):
-        assert svgfig.surface_chart(x, y, z, "x", "y", "z") == oracles.surface_chart(x, y, z, "x", "y", "z")
+        got = decode_surface(svgfig.surface_chart(x, y, z, "x", "y", "z"))
+        assert got == decode_surface(oracles.surface_chart(x, y, z, "x", "y", "z"))
 
 
 @pytest.mark.parametrize(
@@ -70,7 +71,7 @@ def test_surface_chart_matches_scalar_oracle(shape):
 def test_surface_chart_labels_the_first_of_tied_signed_zero_extremes(z, label):
     # min()/max() keep the first of -0.0 and 0.0; numpy's min/max need not
     svg = svgfig.surface_chart([0.0, 1.0], [0.0, 1.0], z)
-    assert svg == oracles.surface_chart([0.0, 1.0], [0.0, 1.0], z)
+    assert decode_surface(svg) == decode_surface(oracles.surface_chart([0.0, 1.0], [0.0, 1.0], z))
     assert f'font-size="10">{label}</text>' in svg
 
 
@@ -79,11 +80,28 @@ def test_surface_chart_leaves_non_finite_cells_undrawn(bad):
     x, y = [0.0, 1.0], [0.0, 1.0]
     z = [[1.0, bad], [2.0, 3.0]]
     svg = svgfig.surface_chart(x, y, z)
-    assert svg == oracles.surface_chart(x, y, z)
-    drawn = svgfig.surface_chart(x, y, [[1.0, 2.5], [2.0, 3.0]])
-    assert drawn.count("<rect ") - svg.count("<rect ") == 1
+    text, pixels = decode_surface(svg)
+    assert (text, pixels) == decode_surface(oracles.surface_chart(x, y, z))
+    _, drawn = decode_surface(svgfig.surface_chart(x, y, [[1.0, 2.5], [2.0, 3.0]]))
+    # the first y is the bottom row: its second cell is transparent, and every other pixel is as drawn
+    assert pixels[1][1] == (0, 0, 0, 0) and drawn[1][1][3] == 255
+    cells = [list(row) for row in pixels]
+    cells[1][1] = drawn[1][1]
+    assert tuple(map(tuple, cells)) == drawn
     # the colour bar spans the finite cells, 1 to 3
     assert 'font-size="10">1</text>' in svg and 'font-size="10">3</text>' in svg
+
+
+def test_surface_chart_draws_one_pixel_per_cell_with_the_last_y_on_top():
+    svg = svgfig.surface_chart([0.0, 1.0, 2.0], [0.0, 1.0], [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    _, pixels = decode_surface(svg)
+    assert pixels == (((253, 231, 37, 255),) * 3, ((68, 1, 84, 255),) * 3)
+    # one image; the only rects are the background, the frame and the 40 colour-bar steps
+    assert svg.count("<image ") == 1 and svg.count("<rect ") == 42
+    # the decoder checks every chunk's CRC, so it notices a changed byte
+    uri = svg.index("base64,") + len("base64,")
+    with pytest.raises(ValueError, match="bad CRC"):
+        decode_surface(svg[:uri + 24] + ("A" if svg[uri + 24] != "A" else "B") + svg[uri + 25:])
 
 
 def test_surface_chart_without_finite_cells_has_nothing_to_plot():
