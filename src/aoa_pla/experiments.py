@@ -3,7 +3,7 @@
 Each figure is one `FIGURES` entry: its default parameters, the runner that
 sweeps its scenario into named columns, the automated checks on the numbers
 it produced, and its plot layout. Every runner hands its columns to
-`_table`, the one place that lays them out as ResultTable rows with complete
+`_table`, the one place that lays them out as one record array with complete
 metadata. CSV output is byte-reproducible for a fixed seed.
 """
 
@@ -96,8 +96,9 @@ class ExperimentConfig:
 
 @dataclass
 class ResultTable:
+    """A figure's columns as one numpy record array: `rows[i]` is row i, `rows[name]` a column view."""
     columns: list
-    rows: list
+    rows: np.recarray
     metadata: dict
 
 
@@ -111,13 +112,13 @@ class CheckResult:
 def _table(config, params, columns):
     """ResultTable of a runner's ordered {column name: array-like} mapping.
 
-    Each value is flattened in C order into Python scalars, so every row
-    holds one int or float per column; the metadata is the figure id, seed,
-    version and every resolved parameter.
+    Each value is flattened in C order into one int64 or float64 field of a
+    record array; unequal lengths raise ValueError. The metadata is the
+    figure id, seed, version and every resolved parameter.
     """
-    cells = (np.ravel(values).tolist() for values in columns.values())
+    rows = np.rec.fromarrays([np.ravel(values) for values in columns.values()], names=list(columns))
     meta = {"figure_id": config.figure_id, "seed": config.seed, "version": __version__, **params}
-    return ResultTable(list(columns), list(zip(*cells, strict=True)), meta)
+    return ResultTable(list(columns), rows, meta)
 
 
 # rows formatted and written at a time; the texts of one chunk are all that is held
@@ -127,34 +128,32 @@ _CSV_CHUNK_ROWS = 2048
 def write_csv(table, path):
     """Comma-separated table with `#`-prefixed metadata comment lines.
 
-    Each cell prints as `str` of its Python scalar, so a float prints its
-    shortest round-trip repr. The rows are written in chunks, and within a
-    chunk a column of floats is formatted once per distinct bit pattern (so
-    -0.0 and 0.0, and NaN payloads, stay apart).
+    Each cell prints as `str` of its Python scalar (`tolist()`), so a float
+    prints its shortest round-trip repr. The rows are written in chunks,
+    and within a chunk a float64 field is formatted once per distinct bit
+    pattern (so -0.0 and 0.0, and NaN payloads, stay apart).
     """
     with open(path, "w") as out:
         out.write("".join(f"# {key} = {table.metadata[key]}\n" for key in sorted(table.metadata)))
         out.write(",".join(table.columns) + "\n")
         for start in range(0, len(table.rows), _CSV_CHUNK_ROWS):
-            chunk = zip(*table.rows[start : start + _CSV_CHUNK_ROWS])
-            out.write("\n".join(map(",".join, zip(*map(_cell_texts, chunk)))) + "\n")
+            chunk = table.rows[start : start + _CSV_CHUNK_ROWS]
+            out.write("\n".join(map(",".join, zip(*(_cell_texts(chunk[name]) for name in table.columns)))) + "\n")
 
 
 def _cell_texts(cells):
-    """`str` of each cell of one column, one call per distinct float bit pattern."""
-    if set(map(type, cells)) != {float}:
-        return list(map(str, cells))
-    bits, index = np.unique(np.array(cells).view(np.int64), return_inverse=True)
+    """`str` of each cell of one field, one call per distinct float64 bit pattern."""
+    if cells.dtype != np.float64:
+        return list(map(str, cells.tolist()))
+    bits, index = np.unique(cells.view(np.int64), return_inverse=True)
     texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
     return texts[index].tolist()
 
 
 def _column(table, name):
-    try:
-        idx = table.columns.index(name)
-    except ValueError:
-        raise KeyError(f"unknown column {name!r}; table has {table.columns}") from None
-    return np.array([row[idx] for row in table.rows])
+    if name not in table.columns:
+        raise KeyError(f"unknown column {name!r}; table has {table.columns}")
+    return table.rows[name]
 
 
 def _grid(xs, ys, zs):

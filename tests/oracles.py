@@ -146,7 +146,7 @@ def write_csv(table, path):
     """`experiments.write_csv`, one `str` per cell and one line per row."""
     lines = [f"# {key} = {table.metadata[key]}" for key in sorted(table.metadata)]
     lines.append(",".join(table.columns))
-    lines.extend(",".join(map(str, row)) for row in table.rows)
+    lines.extend(",".join(map(str, row)) for row in table.rows.tolist())
     Path(path).write_text("\n".join(lines) + "\n")
 
 

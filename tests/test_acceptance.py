@@ -83,9 +83,8 @@ def test_criterion_1_noise_floor_minimum():
 
 def test_criterion_2_theory_sim_equivalence(fig3_table):
     t0 = time.perf_counter()
-    cols = fig3_table.columns
-    theory = np.array([row[cols.index("zeta_theory")] for row in fig3_table.rows])
-    sim = np.array([row[cols.index("zeta_sim")] for row in fig3_table.rows])
+    theory = fig3_table.rows["zeta_theory"]
+    sim = fig3_table.rows["zeta_sim"]
     gap = float(np.max(np.abs(theory - sim) / theory))
     elapsed = time.perf_counter() - t0
     _report(
@@ -97,12 +96,11 @@ def test_criterion_2_theory_sim_equivalence(fig3_table):
 
 
 def test_criterion_3_minimum_location(fig3_table):
-    cols = fig3_table.columns
-    phi = np.array([row[cols.index("phi0_rad")] for row in fig3_table.rows])
-    b0 = np.array([row[cols.index("beta0")] for row in fig3_table.rows])
-    b1 = np.array([row[cols.index("beta1")] for row in fig3_table.rows])
-    theory = np.array([row[cols.index("zeta_theory")] for row in fig3_table.rows])
-    sim = np.array([row[cols.index("zeta_sim")] for row in fig3_table.rows])
+    phi = fig3_table.rows["phi0_rad"]
+    b0 = fig3_table.rows["beta0"]
+    b1 = fig3_table.rows["beta1"]
+    theory = fig3_table.rows["zeta_theory"]
+    sim = fig3_table.rows["zeta_sim"]
     unit = np.abs(b0 + b1 - 1.0) <= 1e-12
     phis = phi[unit]
     ends = {phis.min(), phis.max()}
@@ -119,9 +117,8 @@ def test_criterion_3_minimum_location(fig3_table):
 
 def test_criterion_4_alias_minima(fig6_table):
     t0 = time.perf_counter()
-    cols = fig6_table.columns
-    grid = np.array([row[cols.index("theta_hat_e_rad")] for row in fig6_table.rows])
-    zeta = np.array([row[cols.index("zeta_theta_0.2")] for row in fig6_table.rows])
+    grid = fig6_table.rows["theta_hat_e_rad"]
+    zeta = fig6_table.rows["zeta_theta_0.2"]
     theta = 0.2
     # local minima of the sweep, two lowest first
     interior = (zeta[1:-1] < zeta[:-2]) & (zeta[1:-1] < zeta[2:])

@@ -211,15 +211,14 @@ def test_run_fig2_degenerate_trial_makes_its_point_nan(monkeypatch):
     config = ExperimentConfig(
         "fig2", overrides=dict(trials=2, num_snapshots=50, snr_db=(5.0, 15.0), num_rx_antennas=(8,))
     )
-    clean = run_fig2(config)
-    columns = clean.columns
-    assert clean.rows[0][columns.index("degenerate_alice") :] == (0, 0)
+    clean = run_fig2(config).rows
+    assert (clean["degenerate_alice"][0], clean["degenerate_eve"][0]) == (0, 0)
     _degenerate_slots(monkeypatch, 2, {(1, 1, 0): np.eye})
     rows = run_fig2(config).rows
-    assert rows[0] == clean.rows[0]
-    assert math.isnan(rows[1][columns.index("mean_est_eve_rad")])
-    assert rows[1][columns.index("mean_est_alice_rad")] == clean.rows[1][columns.index("mean_est_alice_rad")]
-    assert rows[1][columns.index("degenerate_alice") :] == (0, 1)
+    assert rows[0] == clean[0]
+    assert math.isnan(rows["mean_est_eve_rad"][1])
+    assert rows["mean_est_alice_rad"][1] == clean["mean_est_alice_rad"][1]
+    assert (rows["degenerate_alice"][1], rows["degenerate_eve"][1]) == (0, 1)
 
 
 def test_far_frr_validation():

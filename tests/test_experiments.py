@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -140,15 +141,45 @@ def test_runner_produces_table_and_checks(figure_id, tmp_path):
     cfg = ExperimentConfig(figure_id, seed=0, overrides=CHEAP_OVERRIDES[figure_id], output_dir=str(tmp_path))
     table = run_figure(cfg)
     assert isinstance(table, ResultTable)
-    assert table.rows
+    assert len(table.rows)
+    assert table.rows.dtype.names == tuple(table.columns)
     assert all(len(row) == len(table.columns) for row in table.rows)
-    # write_csv formats cells with str, which prints repr precision only for Python scalars
-    assert all(type(cell) in (int, float) for row in table.rows for cell in row)
+    # write_csv formats cells with str of their Python scalars (tolist), which prints repr precision
+    assert all(table.rows.dtype[name] in (np.int64, np.float64) for name in table.columns)
+    assert all(type(cell) in (int, float) for row in table.rows.tolist() for cell in row)
     assert table.metadata["figure_id"] == figure_id
     assert table.metadata["seed"] == 0
     checks = evaluate_checks(figure_id, table)
     assert checks
     assert all(isinstance(c, CheckResult) for c in checks)
+
+
+@pytest.mark.parametrize("figure_id, num_rows", [("fig5", 4 * 7), ("fig3d_diff", 9 * 9)])
+def test_table_rows_keep_the_row_interface(figure_id, num_rows):
+    # the benchmark gate reads a table row by row, and its self-test swaps in a list of perturbed rows
+    table = run_figure(ExperimentConfig(figure_id, overrides=CHEAP_OVERRIDES[figure_id]))
+    rows, columns = table.rows, table.columns
+    assert len(rows) == num_rows
+    for i in range(num_rows):
+        assert list(rows[i]) == [rows[i][j] for j in range(len(columns))] == [rows[name][i] for name in columns]
+    name = columns[-1]
+    assert np.shares_memory(experiments._column(table, name), rows)
+    perturbed, i = list(rows), num_rows // 2
+    cells = list(perturbed[i])
+    cells[-1] *= 1.0 + 1e-6
+    perturbed[i] = tuple(cells)
+    copy = dataclasses.replace(table, rows=perturbed)
+    got = np.array([row[copy.columns.index(name)] for row in copy.rows])
+    want = rows[name].copy()
+    want[i] *= 1.0 + 1e-6
+    assert np.array_equal(got, want) and got[i] != rows[name][i]
+
+
+def test_table_rejects_columns_of_unequal_length():
+    config = ExperimentConfig("fig5")
+    assert len(experiments._table(config, {}, {"a": np.zeros(3), "b": np.zeros((1, 3))}).rows) == 3
+    with pytest.raises(ValueError):
+        experiments._table(config, {}, {"a": np.zeros(3), "b": np.zeros(4)})
 
 
 def test_csv_format(tmp_path):
@@ -285,11 +316,14 @@ def test_fig3_plot_keeps_beta_pairs_that_share_beta0_apart(tmp_path):
 
 
 def test_emit_plot_rejects_line_groups_without_a_shared_x_axis(tmp_path):
-    table = ResultTable(["x", "g", "y"], [(0.0, 1, 1.0), (1.0, 1, 2.0), (0.0, 2, 3.0), (2.0, 2, 4.0)], {})
+    def table(rows):
+        return ResultTable(["x", "g", "y"], np.rec.fromrecords(rows, names=["x", "g", "y"]), {})
+
+    apart = table([(0.0, 1, 1.0), (1.0, 1, 2.0), (0.0, 2, 3.0), (2.0, 2, 4.0)])
     with pytest.raises(ValueError, match="line groups by g do not share one x axis"):
-        emit_plot(table, "line", tmp_path / "x.svg", "x", ["y"], group_by="g")
+        emit_plot(apart, "line", tmp_path / "x.svg", "x", ["y"], group_by="g")
     assert not (tmp_path / "x.svg").exists()
-    shared = ResultTable(table.columns, table.rows[:2] + [(1.0, 2, 3.0), (0.0, 2, 4.0)], {})
+    shared = table([(0.0, 1, 1.0), (1.0, 1, 2.0), (1.0, 2, 3.0), (0.0, 2, 4.0)])
     svg = emit_plot(shared, "line", tmp_path / "x.svg", "x", ["y"], group_by="g").read_text()
     assert re.findall(r">(y \[g=\d\])</text>", svg) == ["y [g=1]", "y [g=2]"]
 
@@ -330,8 +364,8 @@ def test_fig3d_plot_and_checks_do_not_depend_on_row_order(figure_id, tmp_path):
     # the four corner phases tie for the minimum and the check reports the
     # first in row order, so the (0, 0) row stays first
     rest = np.random.default_rng(5).permutation(np.arange(1, len(table.rows)))
-    shuffled = ResultTable(table.columns, [table.rows[0]] + [table.rows[i] for i in rest], table.metadata)
-    assert shuffled.rows != table.rows
+    shuffled = ResultTable(table.columns, table.rows[np.concatenate(([0], rest))], table.metadata)
+    assert not np.array_equal(shuffled.rows, table.rows)
     kind, x_col, y_cols, group = experiments.FIGURES[figure_id].plot
     emit_plot(table, kind, tmp_path / "a.svg", x_col, y_cols, group)
     emit_plot(shuffled, kind, tmp_path / "b.svg", x_col, y_cols, group)
@@ -440,7 +474,7 @@ def test_batched_runner_matches_per_point_closed_form(figure_id, overrides):
     cfg = ExperimentConfig(figure_id, overrides=overrides)
     table = run_figure(cfg)
     zeta_columns = [c for c in table.columns if c.startswith("zeta") and not c.endswith(("_sim", "_stderr"))]
-    got = np.array([[row[table.columns.index(c)] for c in zeta_columns] for row in table.rows])
+    got = np.column_stack([table.rows[c] for c in zeta_columns])
     want = np.array(_per_point_zeta(figure_id, cfg.params()), dtype=float).reshape(got.shape)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
@@ -462,10 +496,8 @@ FIXTURE_DIR = Path(__file__).resolve().parent / "fixtures"
 
 def _deterministic_table(figure_id):
     table = run_figure(ExperimentConfig(figure_id, overrides=CHEAP_OVERRIDES[figure_id]))
-    names = DETERMINISTIC_COLUMNS[figure_id]
-    idx = [table.columns.index(name) for name in names]
-    rows = [tuple(row[i] for i in idx) for row in table.rows]
-    return ResultTable(list(names), rows, table.metadata)
+    names = list(DETERMINISTIC_COLUMNS[figure_id])
+    return ResultTable(names, table.rows[names], table.metadata)
 
 
 def _read_fixture(path):
@@ -480,7 +512,7 @@ def test_deterministic_columns_match_fixture(figure_id):
     columns, expected = _read_fixture(FIXTURE_DIR / f"{figure_id}.csv")
     table = _deterministic_table(figure_id)
     assert table.columns == columns
-    np.testing.assert_allclose(np.array(table.rows, dtype=float), expected, rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(np.array(table.rows.tolist(), dtype=float), expected, rtol=1e-10, atol=0.0)
 
 
 if __name__ == "__main__":
