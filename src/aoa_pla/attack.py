@@ -14,13 +14,14 @@ vectors span C^M. `optimal_precoders` gives the least-squares q, its delta
 and the rank of A.
 
 `mse_delta` evaluates delta in the direct form, batched over sweep
-points. The paper's expanded form (`gram_matrix`, `dirichlet_ratio`) is
-kept as closed forms that the tests check the direct form against.
+points, and `gram_matrix` forms G as the product A^H A of the same array
+response. The paper's Dirichlet-kernel closed forms (G entry by entry,
+and delta of one antenna) are test oracles in `tests/oracles.py`, which
+the tests check both against.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -52,55 +53,17 @@ class MseBreakdown:
     alpha: float | None = None
 
 
-# pi = _PI_HI + _PI_LO to ~1e-26; _PI_HI has 32 significant bits, so
-# k * _PI_HI is exact for |k| < 2**21 (element spacings below ~10**6 wavelengths)
-_PI_HI = float.fromhex("0x1.921fb54400000p+1")
-_PI_LO = float.fromhex("0x1.0b4611a626331p-33")
-
-
-def dirichlet_ratio(geom, alpha):
-    """sin(M*kappa*alpha/2) / sin(kappa*alpha/2).
-
-    With x = kappa*alpha/2 = k*pi + y, the ratio is
-    (-1)^(k*(M-1)) * sin(M*y) / sin(y). Reducing x by the nearest multiple
-    of pi first keeps full relative precision next to a grating-lobe alias
-    (x near k*pi, k != 0), where sin(M*x) and sin(x) are both tiny and the
-    rounding of M*x would otherwise swamp sin(M*x). The removable
-    singularity at y = 0 is evaluated by its limit M*cos(M*y)/cos(y).
-    """
-    m = geom.num_elements
-    x = 0.5 * geom.wavenumber_scale * alpha
-    k = round(x / math.pi)
-    y = (x - k * _PI_HI) - k * _PI_LO
-    sign = -1.0 if k * (m - 1) % 2 else 1.0
-    s = math.sin(y)
-    if abs(s) < 1e-12:
-        return sign * m * math.cos(m * y) / math.cos(y)
-    return sign * math.sin(m * y) / s
-
-
 def gram_matrix(geom, angles):
-    """G = A^H A for the stacked steering vectors of `angles`, entry-wise.
+    """G = A^H A for the stacked steering vectors of `angles`: g_lz = a(theta_l)^H a(theta_z).
 
-    g_lz = dirichlet_ratio(gap) * exp(1j*(M-1)*kappa*gap/2) with gap = sin(theta_l) - sin(theta_z);
-    the diagonal is exactly M and g_zl = conj(g_lz) exactly. At (theta, theta_hat0, theta_hat1) the
-    two-antenna coefficients b0, b1, d1 are [0,1], [0,2], [1,2], and c0, c1, d0 the transposed entries.
+    One einsum contraction over the elements, which calls no BLAS, so no
+    byte depends on the thread count. The tests check it against the
+    paper's entry-wise Dirichlet form.
     """
-    angles = list(angles)
-    if len(angles) < 1:
+    a = steering_vector(geom, list(angles))
+    if len(a) < 1:
         raise ValueError("need at least one angle")
-    sines = [math.sin(a) for a in angles]
-    size = len(angles)
-    half_phase = 0.5 * (geom.num_elements - 1) * geom.wavenumber_scale
-    g = np.empty((size, size), dtype=complex)
-    for l in range(size):
-        g[l, l] = geom.num_elements
-        for z in range(l + 1, size):
-            gap = sines[l] - sines[z]
-            entry = dirichlet_ratio(geom, gap) * cmath.exp(1j * (half_phase * gap))
-            g[l, z] = entry
-            g[z, l] = entry.conjugate()
-    return g
+    return np.einsum("lm,zm->lz", a.conj(), a)
 
 
 def _residuals(geom, theta, angles, precoders):

@@ -67,20 +67,15 @@ def verify(profile, block, geom, threshold, grid_step=DEFAULT_GRID_STEP):
     if not threshold > 0:
         raise ValueError("threshold must be > 0")
     measured = float(one_source_estimates(sample_covariance(block), geom, grid_step))
-    if math.isnan(measured):
-        return AuthDecision(
-            accepted=False,
-            measured_angle=math.nan,
-            deviation=math.inf,
-            threshold=threshold,
-            diagnostic="degenerate spectrum: found 0 local maxima, need 1",
-        )
+    degenerate = math.isnan(measured)
+    # nan when degenerate, which compares False with every threshold, an infinite one too
     deviation = abs(measured - profile.enrolled_angle)
     return AuthDecision(
         accepted=deviation <= threshold,
         measured_angle=measured,
-        deviation=deviation,
+        deviation=math.inf if degenerate else deviation,
         threshold=threshold,
+        diagnostic="degenerate spectrum: found 0 local maxima, need 1" if degenerate else "",
     )
 
 

@@ -20,7 +20,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, svgfig
-from .arrays import TWO_PI, ArrayGeometry, AttackerConfig, NoiseModel, _check_legitimate_angle, _precoders, derive_rng
+from .arrays import (
+    TWO_PI, ArrayGeometry, AttackerConfig, NoiseModel, _check_legitimate_angle, _precoders, derive_rng, steering_vector,
+)
 from .attack import monte_carlo_mse, mse_delta
 from .auth import trial_estimates
 from .music import _angle_grid, _find_peaks
@@ -321,6 +323,12 @@ def _circular_dist(phi):
 
 
 def _check_fig3d(table):
+    """`swap_symmetry` if the two antennas are interchangeable, else `swap_asymmetry`; the minimum's phases.
+
+    Interchangeable means that b_i = beta_i a(theta_hat_i) agree to 1e-12 per
+    element: equal betas and steering vectors, as on a sine alias such as
+    (0.39, pi - 0.39), whose vectors differ by 1.1e-14, or both betas 0.
+    """
     p = table.metadata
     phi0 = _column(table, "phi0_rad")
     phi1 = _column(table, "phi1_rad")
@@ -328,15 +336,12 @@ def _check_fig3d(table):
     # phi0 and phi1 share one axis, so swapping the phases transposes the grid
     _, _, surface = _grid(phi0, phi1, zeta)
     swap_defect = float(np.max(np.abs(surface - surface.T)))
-    results = []
-    if p["figure_id"] == "fig3d_same":
-        results.append(
-            CheckResult("swap_symmetry", swap_defect <= 1e-12, f"max |zeta(a,b)-zeta(b,a)| = {swap_defect:.3e}")
-        )
+    b0, b1 = np.asarray(p["betas"])[:, None] * steering_vector(ArrayGeometry(p["num_rx_antennas"]), p["theta_hats"])
+    detail = f"max |zeta(a,b)-zeta(b,a)| = {swap_defect:.3e}"
+    if np.max(np.abs(b0 - b1)) <= 1e-12:
+        results = [CheckResult("swap_symmetry", swap_defect <= 1e-12, detail)]
     else:
-        results.append(
-            CheckResult("swap_asymmetry", swap_defect > 1e-6, f"max |zeta(a,b)-zeta(b,a)| = {swap_defect:.3e}")
-        )
+        results = [CheckResult("swap_asymmetry", swap_defect > 1e-6, detail)]
     # the first minimum in row order: the four corner phases tie on the grid
     imin = int(np.argmin(zeta))
     d0, d1 = _circular_dist(float(phi0[imin])), _circular_dist(float(phi1[imin]))

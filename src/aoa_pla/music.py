@@ -157,7 +157,9 @@ def _spectrum(mat, geom, grid_step, num_sources):
 
 
 def pseudospectrum(mat, geom, grid_step=DEFAULT_GRID_STEP, num_sources=1):
-    """MUSIC pseudospectrum of the covariance `mat` over the angle grid (`_spectrum`), with its peaks."""
+    """MUSIC pseudospectrum of one covariance `mat` over the angle grid (`_spectrum`), with its peaks."""
+    if np.ndim(mat) != 2:
+        raise ValueError(f"expected one covariance matrix, got shape {np.shape(mat)}")
     grid, values = _spectrum(mat, geom, grid_step, num_sources)
     return MusicSpectrum(grid=grid, values=values, peaks=_find_peaks(grid, values))
 

@@ -8,10 +8,13 @@ compressed bytes depend on the zlib build: tests compare surfaces through
 `decode_surface`, pixel by pixel and by the SVG text around the PNG.
 Axes and ticks come from `aoa_pla.svgfig`, which keeps them scalar.
 
-The single-antenna attacker's closed forms (the paper's Case 2) are kept
-here too: its MSE and gradient through the Dirichlet ratio, and its
+The paper's Dirichlet-kernel closed forms are kept here too: the Gram
+matrix G = A^H A entry by entry (its entries are the two-antenna
+coefficients b0, b1 and d1), and the single-antenna attacker's (the
+paper's Case 2) MSE and gradient through the Dirichlet ratio, and its
 optimal precoder with the Hessian determinant there. Tests check
-`attack.mse_delta` and `attack.optimal_precoders` against them.
+`attack.gram_matrix`, `attack.mse_delta` and `attack.optimal_precoders`
+against them.
 
 The snapshot block draw is kept as `synthesize_legitimate` and
 `synthesize_attack` each wrote it with `_noise_block`, so that tests can
@@ -32,6 +35,7 @@ the same numbers to within a stated rounding bound.
 from __future__ import annotations
 
 import base64
+import cmath
 import math
 import struct
 import zlib
@@ -53,7 +57,6 @@ from aoa_pla.arrays import (
     steering_vector,
 )
 from aoa_pla import attack
-from aoa_pla.attack import dirichlet_ratio
 from aoa_pla.experiments import _best_case_precoders
 from aoa_pla.svgfig import (
     _CMAP,
@@ -244,6 +247,57 @@ def surface_chart(x, y, z, x_label="", y_label="", z_label=""):
     parts.append(f'<text x="{bar_x + 24}" y="{MARGIN_T + 10}" font-size="10">{_fmt(z_hi)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+# pi = _PI_HI + _PI_LO to ~1e-26; _PI_HI has 32 significant bits, so
+# k * _PI_HI is exact for |k| < 2**21 (element spacings below ~10**6 wavelengths)
+_PI_HI = float.fromhex("0x1.921fb54400000p+1")
+_PI_LO = float.fromhex("0x1.0b4611a626331p-33")
+
+
+def dirichlet_ratio(geom, alpha):
+    """sin(M*kappa*alpha/2) / sin(kappa*alpha/2).
+
+    With x = kappa*alpha/2 = k*pi + y, the ratio is
+    (-1)^(k*(M-1)) * sin(M*y) / sin(y). Reducing x by the nearest multiple
+    of pi first keeps full relative precision next to a grating-lobe alias
+    (x near k*pi, k != 0), where sin(M*x) and sin(x) are both tiny and the
+    rounding of M*x would otherwise swamp sin(M*x). The removable
+    singularity at y = 0 is evaluated by its limit M*cos(M*y)/cos(y).
+    """
+    m = geom.num_elements
+    x = 0.5 * geom.wavenumber_scale * alpha
+    k = round(x / math.pi)
+    y = (x - k * _PI_HI) - k * _PI_LO
+    sign = -1.0 if k * (m - 1) % 2 else 1.0
+    s = math.sin(y)
+    if abs(s) < 1e-12:
+        return sign * m * math.cos(m * y) / math.cos(y)
+    return sign * math.sin(m * y) / s
+
+
+def gram_matrix(geom, angles):
+    """`attack.gram_matrix` entry by entry, in the paper's closed form.
+
+    g_lz = dirichlet_ratio(gap) * exp(1j*(M-1)*kappa*gap/2) with gap = sin(theta_l) - sin(theta_z);
+    the diagonal is exactly M and g_zl = conj(g_lz) exactly. At (theta, theta_hat0, theta_hat1) the
+    two-antenna coefficients b0, b1, d1 are [0,1], [0,2], [1,2], and c0, c1, d0 the transposed entries.
+    """
+    angles = list(angles)
+    if len(angles) < 1:
+        raise ValueError("need at least one angle")
+    sines = [math.sin(a) for a in angles]
+    size = len(angles)
+    half_phase = 0.5 * (geom.num_elements - 1) * geom.wavenumber_scale
+    g = np.empty((size, size), dtype=complex)
+    for l in range(size):
+        g[l, l] = geom.num_elements
+        for z in range(l + 1, size):
+            gap = sines[l] - sines[z]
+            entry = dirichlet_ratio(geom, gap) * cmath.exp(1j * (half_phase * gap))
+            g[l, z] = entry
+            g[z, l] = entry.conjugate()
+    return g
 
 
 def mse_delta_single(geom, theta, theta_hat, beta, phi):

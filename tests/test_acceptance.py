@@ -21,11 +21,11 @@ from aoa_pla.arrays import (
     synthesize_attack,
     synthesize_legitimate,
 )
-from aoa_pla.attack import dirichlet_ratio, gram_matrix, monte_carlo_mse, mse_closed_form
+from aoa_pla.attack import monte_carlo_mse, mse_closed_form
 from aoa_pla.auth import far_frr_sweep
 from aoa_pla.experiments import ExperimentConfig, reproduce, run_figure
 from aoa_pla.music import DEFAULT_GRID_STEP, estimate_aoa
-from oracles import mse_delta_single, mse_gradient_single, optimal_single_precoder
+from oracles import dirichlet_ratio, gram_matrix, mse_delta_single, mse_gradient_single, optimal_single_precoder
 
 
 def _binomial_acceptance(n, p, alpha):

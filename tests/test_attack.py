@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from aoa_pla.arrays import ArrayGeometry, AttackerConfig, NoiseModel, _precoders, steering_vector
 from aoa_pla import attack, experiments
 from aoa_pla.attack import (
-    dirichlet_ratio,
-    gram_matrix,
     monte_carlo_mse,
     mse_closed_form,
     mse_delta,
@@ -19,7 +17,7 @@ from aoa_pla.attack import (
 )
 from aoa_pla.experiments import ExperimentConfig
 import oracles
-from oracles import mse_delta_single, mse_gradient_single, optimal_single_precoder
+from oracles import dirichlet_ratio, mse_delta_single, mse_gradient_single, optimal_single_precoder
 
 EPS = np.finfo(float).eps
 
@@ -167,7 +165,7 @@ def test_gram_matrix_matches_inner_products():
         m = int(rng.integers(2, 25))
         geom = ArrayGeometry(m)
         angles = rng.uniform(-math.pi, math.pi, size=int(rng.integers(1, 6)))
-        g = gram_matrix(geom, angles)
+        g = oracles.gram_matrix(geom, angles)
         stacked = np.column_stack([steering_vector(geom, a) for a in angles])
         direct = stacked.conj().T @ stacked
         assert np.max(np.abs(g - direct)) <= 1e-10
@@ -175,9 +173,20 @@ def test_gram_matrix_matches_inner_products():
         assert np.all(np.diag(g).real == m)
 
 
+def test_gram_matrix_is_the_closed_form_to_rounding():
+    # attack.gram_matrix is the product A^H A; the oracle is the paper's Dirichlet form
+    rng = np.random.default_rng(4)
+    for _ in range(100):
+        m = int(rng.integers(2, 25))
+        geom = ArrayGeometry(m)
+        angles = rng.uniform(-math.pi, math.pi, size=int(rng.integers(1, 6)))
+        assert np.max(np.abs(attack.gram_matrix(geom, angles) - oracles.gram_matrix(geom, angles))) <= 1e-10
+
+
 def test_gram_matrix_validation():
-    with pytest.raises(ValueError):
-        gram_matrix(ArrayGeometry(4), [])
+    for gram in (attack.gram_matrix, oracles.gram_matrix):
+        with pytest.raises(ValueError):
+            gram(ArrayGeometry(4), [])
 
 
 def test_two_antenna_coefficients_match_inner_products():
@@ -187,7 +196,7 @@ def test_two_antenna_coefficients_match_inner_products():
         geom = ArrayGeometry(m)
         theta, th0, th1 = rng.uniform(-math.pi / 2, math.pi / 2, size=3)
         # b0, b1, d1 and their conjugates c0, c1, d0 are Gram entries
-        g = gram_matrix(geom, (theta, th0, th1))
+        g = oracles.gram_matrix(geom, (theta, th0, th1))
         b0, b1, d1 = g[0, 1], g[0, 2], g[1, 2]
         c0, c1, d0 = g[1, 0], g[2, 0], g[2, 1]
         a = steering_vector(geom, theta)
@@ -250,7 +259,7 @@ def test_direct_form_matches_gram_expansion(scenario):
     q = attacker.precoders
     a = steering_vector(geom, theta)
     stacked = np.column_stack([steering_vector(geom, ang) for ang in attacker.angles])
-    g = gram_matrix(geom, attacker.angles)
+    g = oracles.gram_matrix(geom, attacker.angles)
     expanded = m - 2.0 * np.vdot(a, stacked @ q).real + np.vdot(q, g @ q).real
     direct = mse_delta(geom, theta, attacker.angles, q)
     assert direct >= 0.0
@@ -437,7 +446,7 @@ def test_optimal_precoders_solve_the_normal_equations(scenario):
     grad = a_matrix.conj().T @ (a - a_matrix @ q)
     grad_tol = (8 * m * l + max(m, l)) * EPS * math.sqrt(m * l) * (math.sqrt(m) + 2 * math.sqrt(m * l) * qnorm)
     assert np.linalg.norm(grad) <= grad_tol
-    normal = gram_matrix(geom, angles) @ q - a_matrix.conj().T @ a
+    normal = oracles.gram_matrix(geom, angles) @ q - a_matrix.conj().T @ a
     assert np.linalg.norm(normal) <= grad_tol + 16 * (1 + geom.wavenumber_scale) * m * m * l * EPS * qnorm
     assert 1 <= opt.rank <= min(m, l)
     # no worse than q = 0, up to the rounding of a residual sum with |q*| terms

@@ -60,6 +60,8 @@ def test_verify_rejects_degenerate_block():
     assert not decision.accepted
     assert math.isinf(decision.deviation)
     assert decision.diagnostic
+    # the reported deviation is inf, yet an infinite threshold still rejects
+    assert not verify(profile, block, geom, math.inf, grid_step=2.0).accepted
 
 
 def test_verify_makes_one_eigendecomposition_and_no_peak_list(monkeypatch):

@@ -373,6 +373,26 @@ def test_fig3d_plot_and_checks_do_not_depend_on_row_order(figure_id, tmp_path):
     assert evaluate_checks(figure_id, shuffled) == evaluate_checks(figure_id, table)
 
 
+@pytest.mark.parametrize(
+    "figure_id, overrides, name",
+    [
+        ("fig3d_same", {}, "swap_symmetry"),
+        ("fig3d_diff", {}, "swap_asymmetry"),
+        ("fig3d_diff", {"theta_hats": (0.4, 0.4)}, "swap_symmetry"),
+        ("fig3d_same", {"theta_hats": (0.39, 0.41)}, "swap_asymmetry"),
+        ("fig3d_same", {"betas": (0.3, 0.7)}, "swap_asymmetry"),
+        # a sine alias: the two steering vectors differ by rounding alone
+        ("fig3d_diff", {"theta_hats": (0.39, math.pi - 0.39)}, "swap_symmetry"),
+        # two silent antennas are interchangeable wherever they sit
+        ("fig3d_diff", {"betas": (0.0, 0.0)}, "swap_symmetry"),
+    ],
+)
+def test_fig3d_swap_check_follows_the_antennas_not_the_figure(figure_id, overrides, name):
+    table = run_figure(ExperimentConfig(figure_id, overrides={"phi_points": 16, **overrides}))
+    swap = evaluate_checks(figure_id, table)[0]
+    assert (swap.name, swap.passed) == (name, True), swap.detail
+
+
 def test_check_results_are_python_bools():
     for figure_id in FIGURE_IDS:
         table = run_figure(ExperimentConfig(figure_id, overrides=CHEAP_OVERRIDES[figure_id]))

@@ -158,6 +158,17 @@ def test_pseudospectrum_validation():
         pseudospectrum(cov, geom, num_sources=0)
 
 
+def test_pseudospectrum_rejects_a_stack_of_covariances():
+    geom = ArrayGeometry(4)
+    covs = np.stack([np.eye(4), np.eye(4)])
+    with pytest.raises(ValueError, match=r"expected one covariance matrix, got shape \(2, 4, 4\)"):
+        pseudospectrum(covs, geom)
+    with pytest.raises(ValueError, match=r"got shape \(2, 4, 4\)"):
+        estimate_aoa_from_covariance(covs, geom)
+    # the stack is the batched estimator's
+    assert one_source_estimates(covs, geom).shape == (2,)
+
+
 def test_degenerate_spectrum_raises():
     # a one-point grid cannot host a strict local maximum
     geom = ArrayGeometry(3)
