@@ -25,8 +25,8 @@ from .arrays import (
 )
 from .music import DEFAULT_GRID_STEP, one_source_estimates, sample_covariance
 
-# trials drawn and estimated as one stack: (chunk, M, M) covariances and a (chunk, grid) spectrum;
-# 8 ran fig2 faster than 4 or 16, and keeps its peak memory within about 1 MB of one trial at a time
+# trials drawn and estimated as one (chunk, M, M) stack; the chunk fixes the random stream (each draw takes
+# its chunk's shape) and bounds the memory, which does not grow with the trials
 _TRIAL_CHUNK = 8
 
 
@@ -87,8 +87,9 @@ def trial_estimates(geom, theta, attacker, noise, num_snapshots, grid_step, tria
     covariances from their sufficient statistics (`synthesize_covariance`),
     all from the one generator `derive_rng(*key, s)`, in chunks of
     `_TRIAL_CHUNK` trials, and each chunk is estimated as one stack
-    (`one_source_estimates`). So memory does not grow with `trials`, and
-    the stream depends on the chunk size. A degenerate spectrum yields no
+    (`one_source_estimates`, whose bounded scan takes one set of grid
+    columns per chunk). So memory does not grow with `trials`, and the
+    stream depends on the chunk size. A degenerate spectrum yields no
     angle, so its entry is nan.
     """
     sides = (

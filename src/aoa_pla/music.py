@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -12,6 +13,9 @@ from .arrays import steering_vector
 
 DEFAULT_GRID_STEP = 0.001
 _HERMITIAN_TOL = 1e-12
+_TINY = np.finfo(float).tiny
+# grid points per cell of `one_source_estimates`' bounded scan
+_COARSE_STEP = 16
 
 
 class DegenerateSpectrumError(RuntimeError):
@@ -44,11 +48,11 @@ def hermitian_eig(mat):
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    scale = np.maximum(1.0, np.max(np.abs(mat), axis=(-2, -1)))
-    if not np.all(np.isfinite(scale)):
+    scale = np.maximum(1.0, np.abs(mat).max(axis=(-2, -1)))
+    if not np.isfinite(scale).all():
         raise ValueError("expected finite entries, got one of non-finite magnitude")
-    defect = np.max(np.abs(mat - np.swapaxes(mat, -1, -2).conj()), axis=(-2, -1))
-    bad = np.flatnonzero(defect > _HERMITIAN_TOL * scale)
+    defect = np.abs(mat - mat.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
+    bad = (defect > _HERMITIAN_TOL * scale).ravel().nonzero()[0]
     if bad.size:
         first = bad[0]
         raise NonHermitianError(
@@ -116,16 +120,57 @@ def _find_peaks(grid, values):
     return peaks
 
 
-def _heights(signal_basis, manifold):
-    """Pseudospectrum 1 / max(M - ||E_s^H a||^2, tiny) over the grid, for (..., M, k) signal bases E_s.
+def _gains(signal_basis, manifold):
+    """||E_s^H a||^2 for each manifold column a, for (..., M, k) signal bases E_s; shape (..., columns).
 
-    A stack of one-column bases takes one vector-times-manifold product per
-    basis, the product a single basis takes, so each row equals the height
-    of its basis alone bit for bit.
+    The product runs in numpy's einsum loop, not BLAS: it adds each
+    column's M terms in one fixed order whatever the other columns, the
+    stack or the thread count, so a column's gain has the same bits in any
+    subset of the grid as in the whole grid, and in a stack as alone. A
+    BLAS product does not: its tail columns and thread splits take
+    another order.
     """
-    proj = np.swapaxes(signal_basis.conj(), -1, -2) @ manifold
-    denom = manifold.shape[0] - np.sum(proj.real**2 + proj.imag**2, axis=-2)
-    return 1.0 / np.maximum(denom, np.finfo(float).tiny)
+    proj = np.einsum("...mk,mg->...kg", signal_basis.conj(), manifold)
+    return (proj.real**2 + proj.imag**2).sum(axis=-2)
+
+
+def _heights(signal_basis, manifold):
+    """Pseudospectrum 1 / max(M - ||E_s^H a||^2, tiny) at the manifold's columns, for (..., M, k) signal bases E_s.
+
+    `manifold` is the whole grid's (`_spectrum`) or a subset of its columns
+    (the bounded scan of `one_source_estimates`); `_gains` makes each
+    height the same bits either way.
+    """
+    return 1.0 / np.maximum(manifold.shape[0] - _gains(signal_basis, manifold), _TINY)
+
+
+def _signal_eig(mat, geom, num_sources):
+    """`hermitian_eig` of a covariance or a (..., M, M) stack, after the checks every MUSIC estimate makes."""
+    m = geom.num_elements
+    if num_sources >= m:
+        raise ValueError(f"num_sources ({num_sources}) must be < num_elements ({m})")
+    if num_sources < 1:
+        raise ValueError("num_sources must be >= 1")
+    vals, vecs = hermitian_eig(mat)
+    if vals.shape[-1] != m:
+        raise ValueError(f"covariance is {vals.shape[-1]} x {vals.shape[-1]}, the array has {m} elements")
+    return vals, vecs
+
+
+def _undetermined(vals, num_sources):
+    """Where the num_sources largest eigenvalues do not separate from the rest (gap at most
+    `_HERMITIAN_TOL` times the largest eigenvalue), so the signal subspace is undetermined."""
+    m = vals.shape[-1]
+    gap = vals[..., m - num_sources] - vals[..., m - num_sources - 1]
+    return gap <= _HERMITIAN_TOL * np.maximum(vals[..., -1], 0.0)
+
+
+def _full_heights(vals, vecs, manifold, num_sources):
+    """Heights at every grid point, and the flat 1 / (M - num_sources) where the subspace is undetermined."""
+    m = vals.shape[-1]
+    values = _heights(vecs[..., m - num_sources :], manifold)
+    values[_undetermined(vals, num_sources)] = 1.0 / (m - num_sources)
+    return values
 
 
 def _spectrum(mat, geom, grid_step, num_sources):
@@ -136,24 +181,14 @@ def _spectrum(mat, geom, grid_step, num_sources):
     eigenvectors E_s as M - ||E_s^H a||^2 (`_heights`), the same quantity
     (``||a||^2 = M``) at num_sources x M x grid cost, to rounding of order
     1e-15 * M. When the num_sources largest eigenvalues do not separate
-    from the rest (gap at most `_HERMITIAN_TOL` times the largest
-    eigenvalue, as for a zero or an identity matrix) the signal subspace
-    is undetermined: every height is 1 / (M - num_sources), which has no
-    strict local maximum. `grid` is the cached, read-only grid of `_manifold`.
+    from the rest (`_undetermined`, as for a zero or an identity matrix)
+    the signal subspace is undetermined: every height is
+    1 / (M - num_sources), which has no strict local maximum. `grid` is the
+    cached, read-only grid of `_manifold`.
     """
-    m = geom.num_elements
-    if num_sources >= m:
-        raise ValueError(f"num_sources ({num_sources}) must be < num_elements ({m})")
-    if num_sources < 1:
-        raise ValueError("num_sources must be >= 1")
-    vals, vecs = hermitian_eig(mat)
-    if vals.shape[-1] != m:
-        raise ValueError(f"covariance is {vals.shape[-1]} x {vals.shape[-1]}, the array has {m} elements")
+    vals, vecs = _signal_eig(mat, geom, num_sources)
     grid, manifold = _manifold(geom, grid_step)
-    values = _heights(vecs[..., m - num_sources :], manifold)
-    gap = vals[..., m - num_sources] - vals[..., m - num_sources - 1]
-    values[gap <= _HERMITIAN_TOL * np.maximum(vals[..., -1], 0.0)] = 1.0 / (m - num_sources)
-    return grid, values
+    return grid, _full_heights(vals, vecs, manifold, num_sources)
 
 
 def pseudospectrum(mat, geom, grid_step=DEFAULT_GRID_STEP, num_sources=1):
@@ -181,6 +216,79 @@ def estimate_aoa_from_covariance(mat, geom, num_sources=1, grid_step=DEFAULT_GRI
     return peak_angles(pseudospectrum(mat, geom, grid_step, num_sources), num_sources)
 
 
+def _rounding_allowance(m, kappa):
+    """Rounding slack of the bounded scan's cell test, in units of g = |u^H a|^2, from M and eps alone.
+
+    With eps the float64 machine epsilon and slope = kappa (M - 1) M:
+    - a manifold entry exp(-1j kappa m sin(angle)) is within
+      3 kappa (M - 1) eps + 3 eps of the exact response at that grid angle
+      (phase, then exp), and an M-term complex dot product adds
+      2 (M + 2) eps per unit of sum |u_m| <= sqrt(M); so a computed g, by
+      BLAS or by einsum, is within `value` = M (2 beta + 4 eps) of the g of
+      the exact response, beta = (3 kappa (M - 1) + 2 M + 7) eps;
+    - eigh's unit vector has ||u||^2 <= 1 + 4 M eps, which raises the
+      Bernstein slope by that factor over a cell of sine width at most 2,
+      and a computed sine width is within 3 eps of the exact one;
+    - forming the cell bound adds at most 4 eps (M + slope);
+    - a skipped point's g must end 4 M eps below the best coarse point's
+      for its height to compare strictly lower after `M - g` and `1 / d`.
+    A skipped point meets four value errors: its own, the cell's two
+    coarse ends (halved, twice) and the best coarse point's two.
+    """
+    eps = np.finfo(float).eps
+    slope = kappa * (m - 1) * m
+    value = m * (2.0 * (3.0 * kappa * (m - 1) + 2 * m + 7) * eps + 4.0 * eps)
+    return 4.0 * value + slope * (4 * m + 1.5) * eps + 4.0 * eps * (m + slope) + 4.0 * m * eps
+
+
+class _CoarseScan(NamedTuple):
+    """The bounded scan's tables for one (geometry, grid step); see `_coarse_scan`."""
+
+    conj_columns: np.ndarray
+    rise: np.ndarray
+    spans: np.ndarray
+    fresh: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _coarse_scan(geom, grid_step):
+    """The `_CoarseScan` of `_manifold(geom, grid_step)`, or None for a grid of at most one cell.
+
+    - `conj_columns`: the conjugate manifold at the coarse points, grid
+      indices 0, K, 2K, ... and the last one (K = `_COARSE_STEP`), one row
+      each; cell j lies between coarse points j and j + 1.
+    - `rise`: per cell of sine width w, kappa (M - 1) M w + 2 `_rounding_allowance`.
+      By Bernstein's inequality no g in the cell exceeds
+      (g_j + g_(j+1) + kappa (M - 1) M w) / 2, so a cell can reach g_best
+      only if g_j + g_(j+1) + rise >= 2 g_best.
+    - `spans`: per cell, the grid indices from one before its first point
+      to one after its last; `fresh` marks those inside the grid and not
+      repeated by the previous cell's span. The last three of a span are
+      the first three of the next, so the spans of a run of cells, each
+      without those three when its predecessor is in the run, are the
+      run's indices in order, once each.
+    """
+    grid, manifold = _manifold(geom, grid_step)
+    last = grid.size - 1
+    if last <= _COARSE_STEP:
+        return None
+    points = np.append(np.arange(0, last, _COARSE_STEP), last)
+    m, kappa = geom.num_elements, geom.wavenumber_scale
+    rise = kappa * (m - 1) * m * np.diff(np.sin(grid[points])) + 2.0 * _rounding_allowance(m, kappa)
+    spans = _COARSE_STEP * np.arange(points.size - 1)[:, None] + np.arange(-1, _COARSE_STEP + 2)
+    tables = (np.ascontiguousarray(manifold[:, points].conj().T), rise, spans, (spans >= 0) & (spans <= last))
+    for table in tables:
+        table.setflags(write=False)
+    return _CoarseScan(*tables)
+
+
+def _first_strict_peaks(grid, values):
+    """The angle of the highest `_peak_mask` peak of each row, the first on a tie; nan for a row with none."""
+    peaks = _peak_mask(values)
+    best = np.argmax(np.where(peaks, values, -np.inf), axis=-1)
+    return np.where(np.any(peaks, axis=-1), grid[best], np.nan)
+
+
 def one_source_estimates(covs, geom, grid_step=DEFAULT_GRID_STEP):
     """One-source MUSIC estimates of a covariance or a (..., M, M) stack, shape (...).
 
@@ -189,11 +297,49 @@ def one_source_estimates(covs, geom, grid_step=DEFAULT_GRID_STEP):
     `estimate_aoa_from_covariance(cov, geom, 1, grid_step)[0]`, and is nan
     where that raises DegenerateSpectrumError: the spectrum has no strict
     local maximum, as when its signal subspace is undetermined.
+
+    The grid is not scanned whole. g = |u^H a|^2, u the principal
+    eigenvector, is a trigonometric polynomial of degree M - 1 in
+    kappa sin(angle) and at most M, so by Bernstein's inequality its slope
+    in sin(angle) is at most kappa (M - 1) M. g is taken at every
+    `_COARSE_STEP`-th grid point, and only the cells that this bound lets
+    reach a row's best coarse value (for any row of the stack) are scanned
+    in full, one neighbour past each end, with `_heights` on those columns:
+    every height elsewhere is strictly lower. Where a row's first maximum
+    among them is a strict local maximum, it is the row's estimate. The
+    other rows (a plateau or a tie next to the maximum, an undetermined
+    subspace, a grid of at most one cell, an empty stack) take the heights
+    of the whole grid.
     """
-    grid, values = _spectrum(covs, geom, grid_step, 1)
-    peaks = _peak_mask(values)
-    best = np.argmax(np.where(peaks, values, -np.inf), axis=-1)
-    return np.where(np.any(peaks, axis=-1), grid[best], np.nan)
+    vals, vecs = _signal_eig(covs, geom, 1)
+    grid, manifold = _manifold(geom, grid_step)
+    scan = _coarse_scan(geom, grid_step)
+    m, shape = geom.num_elements, vals.shape[:-1]
+    vals, vecs = vals.reshape(-1, m), vecs.reshape(-1, m, m)
+    if scan is None or not len(vals):
+        return _first_strict_peaks(grid, _full_heights(vals, vecs, manifold, 1)).reshape(shape)
+    basis = vecs[..., -1:]
+    # coarse g by BLAS: the bound needs only its rounding, which `rise` allows for, not its bits
+    coarse = np.abs(scan.conj_columns @ basis)[..., 0] ** 2
+    reach = coarse[:, :-1] + coarse[:, 1:] + scan.rise >= 2.0 * coarse.max(axis=1, keepdims=True)
+    cells = reach.any(axis=0).nonzero()[0]
+    take = scan.fresh[cells]
+    take[1:, :3] &= (cells[1:] - cells[:-1] > 1)[:, None]
+    cols = scan.spans[cells][take]
+    heights = _heights(basis, manifold[:, cols])
+    # every height outside `cols` is below the best coarse point's, which is inside, and so is a run's
+    # outer point: the first maximum is the grid's, its neighbours in `cols` are its grid neighbours, the
+    # left one is lower, and it is a strict peak unless the right one ties it (the last point has none)
+    top = heights.argmax(axis=1)
+    rows, at = np.arange(len(top)), cols[top]
+    strict = heights[rows, np.minimum(top + 1, cols.size - 1)] < heights[rows, top]
+    strict |= at == grid.size - 1
+    strict &= ~_undetermined(vals, 1)
+    est = grid[at]
+    if not strict.all():
+        rest = ~strict
+        est[rest] = _first_strict_peaks(grid, _full_heights(vals[rest], vecs[rest], manifold, 1))
+    return est.reshape(shape)
 
 
 def estimate_aoa(block, geom, num_sources=1, grid_step=DEFAULT_GRID_STEP):

@@ -204,8 +204,8 @@ def test_trial_estimates_memory_does_not_grow_with_trials():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    # the (2, trials) result grows by 16 bytes a trial; 64 KiB covers allocator slack, a fraction of one
-    # chunk's (chunk, grid) spectrum, so a stack of all the trials at once would fail
+    # the (2, trials) result grows by 16 bytes a trial; 64 KiB covers allocator slack, and a stack of all the
+    # trials at once would fail: its covariances and eigenvectors alone take 8 KiB a trial at M = 16
     assert peaks[1] - peaks[0] <= 16 * 64 * auth._TRIAL_CHUNK + 64 * 1024
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aoa_pla import auth
+from aoa_pla import auth, music
 from aoa_pla.arrays import (
     ArrayGeometry,
     AttackerConfig,
@@ -13,6 +13,7 @@ from aoa_pla.arrays import (
     SignalBlock,
     attack_wavefront,
     derive_rng,
+    legitimate_wavefront,
     steering_vector,
     synthesize_attack,
     synthesize_covariance,
@@ -32,6 +33,7 @@ from aoa_pla.music import (
     _angle_grid,
     _find_peaks,
     _manifold,
+    _rounding_allowance,
 )
 
 
@@ -165,8 +167,9 @@ def test_pseudospectrum_rejects_a_stack_of_covariances():
         pseudospectrum(covs, geom)
     with pytest.raises(ValueError, match=r"got shape \(2, 4, 4\)"):
         estimate_aoa_from_covariance(covs, geom)
-    # the stack is the batched estimator's
+    # the stack is the batched estimator's, an empty one too
     assert one_source_estimates(covs, geom).shape == (2,)
+    assert one_source_estimates(np.zeros((2, 0, 4, 4)), geom).shape == (2, 0)
 
 
 def test_degenerate_spectrum_raises():
@@ -238,7 +241,8 @@ def _uncached_pseudospectrum(mat, geom, grid_step, num_sources):
     else:
         signal_basis = vecs[:, m - num_sources :]
         manifold = np.stack([steering_vector(geom, angle) for angle in grid], axis=1)
-        proj = signal_basis.conj().T @ manifold
+        # the product of the production path: numpy's einsum loop, not BLAS
+        proj = np.einsum("mk,mg->kg", signal_basis.conj(), manifold)
         denom = m - np.sum(proj.real**2 + proj.imag**2, axis=0)
         values = 1.0 / np.maximum(denom, np.finfo(float).tiny)
     return grid, values, _find_peaks(grid, values)
@@ -400,6 +404,12 @@ def _constructed_covariance(kind, geom, rng):
         # a real covariance has a spectrum symmetric in angle: two equal peaks at +-theta
         a = steering_vector(geom, rng.uniform(0.1, 1.2))
         return np.outer(a, a.conj()).real + rng.uniform(0.0, 0.1) * np.eye(m)
+    if kind == "two_lobe":
+        # two far-apart sources of nearly equal power: the principal eigenvector's spectrum has two lobes
+        # of nearly equal height, and the best coarse point of the bounded scan can sit on the lower one
+        a, b = steering_vector(geom, rng.uniform(-1.2, -0.2)), steering_vector(geom, rng.uniform(0.2, 1.2))
+        power = 1.0 + rng.uniform(0.0, 1e-3)
+        return np.outer(a, a.conj()) + power * np.outer(b, b.conj()) + rng.uniform(0.0, 0.1) * np.eye(m)
     if kind == "near_identity":
         # eigenvalues within the degenerate gap, yet a principal eigenvector whose spectrum has peaks
         raw = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
@@ -407,13 +417,14 @@ def _constructed_covariance(kind, geom, rng):
     return np.zeros((m, m)) if kind == "zero" else np.eye(m)
 
 
-_COVARIANCE_KINDS = ("random", "edge", "plateau", "mirrored", "near_identity", "zero", "identity")
+_COVARIANCE_KINDS = ("random", "edge", "plateau", "mirrored", "two_lobe", "near_identity", "zero", "identity")
 
 
 @st.composite
 def _covariance_stacks(draw):
     geom = ArrayGeometry(draw(st.integers(2, 16)), draw(st.floats(0.1, 2.0)))
-    grid_step = draw(st.sampled_from((0.001, 0.0037, 0.05, 2.0)))
+    # 0.1 is a grid of 31 points, under two coarse cells of the bounded scan; 2.0 a grid of one point
+    grid_step = draw(st.sampled_from((1e-4, 0.001, 0.0037, 0.05, 0.1, 2.0)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kinds = draw(st.lists(st.sampled_from(_COVARIANCE_KINDS), min_size=1, max_size=6))
     return geom, grid_step, np.stack([_constructed_covariance(kind, geom, rng) for kind in kinds])
@@ -428,6 +439,86 @@ def test_one_source_estimates_equal_per_matrix_estimates(scenario):
     # a single covariance is the stack of shape ()
     single = one_source_estimates(covs[0], geom, grid_step)
     assert single.shape == () and np.array_equal(single, expected[0], equal_nan=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_covariance_stacks())
+def test_bounded_scan_heights_equal_the_full_spectrum_bit_for_bit(scenario):
+    """Every height the estimator computes on a subset of the grid's columns is the full `_spectrum` height there."""
+    geom, grid_step, covs = scenario
+    _, manifold = _manifold(geom, grid_step)
+    real_heights = music._heights
+    calls = []
+
+    def recording_heights(basis, columns):
+        heights = real_heights(basis, columns)
+        calls.append((len(basis), columns, heights))
+        return heights
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(music, "_heights", recording_heights)
+        one_source_estimates(covs, geom, grid_step)
+    _, full = music._spectrum(covs, geom, grid_step, 1)
+    # an undetermined row's spectrum is flat by rule, not by product
+    determined = ~music._undetermined(hermitian_eig(covs)[0], 1)
+    index = {column.tobytes(): g for g, column in enumerate(manifold.T)}
+    # the first call is on every row: the bounded scan's, or the full scan of a grid of at most one cell;
+    # a later one is the full scan of the rows left over
+    rows, columns, heights = calls[0]
+    assert rows == len(covs)
+    at = [index[column.tobytes()] for column in columns.T]
+    assert np.array_equal(heights[determined], full[determined][:, at])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 24), st.floats(0.1, 2.0), st.booleans(), st.integers(0, 2**32 - 1))
+def test_gain_slope_within_the_bernstein_bound(m, spacing, steered, seed):
+    """g = |u^H a(s)|^2 rises at most kappa (M - 1) M per unit of s = sin(angle), up to the derived rounding allowance.
+
+    A steered u (a steering vector with a little noise) puts g's whole mass
+    M in one lobe, where the slope comes within a small factor of the bound.
+    """
+    geom = ArrayGeometry(m, spacing)
+    kappa = geom.wavenumber_scale
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    if steered:
+        u = steering_vector(geom, rng.uniform(-1.5, 1.5)) + 0.05 * u
+    u /= np.linalg.norm(u)
+    angles = np.arcsin(np.linspace(-1.0, 1.0, 20_001))
+    gains = music._gains(u[:, None], steering_vector(geom, angles).T)
+    rise = np.abs(np.diff(gains))
+    assert np.all(rise <= kappa * (m - 1) * m * np.abs(np.diff(np.sin(angles))) + _rounding_allowance(m, kappa))
+
+
+def test_bounded_scan_evaluates_under_a_quarter_of_the_grid(monkeypatch):
+    """fig2's stacks at M = 16, 15 dB: one `_heights` call per chunk, on fewer than 25% of the grid's columns.
+
+    A fall back to the full scan makes a second call, or one on every column.
+    """
+    p = ExperimentConfig("fig2").params()
+    geom = ArrayGeometry(16)
+    grid, _ = _manifold(geom, p["grid_step"])
+    noise = NoiseModel.from_db(15.0)
+    attacker = AttackerConfig((p["theta_hat"],) * 2, (0.5, 0.5))
+    real_heights = music._heights
+    evaluated = []
+
+    def recording_heights(basis, columns):
+        evaluated.append(columns.shape[1])
+        return real_heights(basis, columns)
+
+    monkeypatch.setattr(music, "_heights", recording_heights)
+    sides = ((legitimate_wavefront(geom, p["theta"]), noise.snr_legit), (attack_wavefront(geom, attacker), noise.snr_attacker))
+    for side, (wavefront, snr) in enumerate(sides):
+        rng = derive_rng(0, side)
+        for _ in range(8):
+            covs = synthesize_covariance(geom, wavefront, snr, p["num_snapshots"], rng, auth._TRIAL_CHUNK)
+            before = len(evaluated)
+            estimates = one_source_estimates(covs, geom, p["grid_step"])
+            assert len(evaluated) == before + 1
+            assert evaluated[-1] < 0.25 * grid.size
+            assert np.all(np.abs(estimates - (p["theta"], p["theta_hat"])[side]) <= 0.05)
 
 
 def test_one_source_estimates_at_the_grid_edge_on_a_plateau_and_on_a_tie():
