@@ -133,8 +133,9 @@ def _add_synth_flags(parser, angles):
     parser.add_argument("--spacing", type=float, default=0.5, help="element spacing in wavelengths")
     angles.add_argument("--theta", type=_parse_angle, default=0.4)
     angles.add_argument("--theta-hat", type=_parse_angle, required=angles is parser, help="attack from this angle")
-    parser.add_argument("--beta", type=float, default=1.0)
-    parser.add_argument("--phi", type=_parse_angle, default=0.0)
+    # unset precoder flags stay None, so that `synth` sees one given without --theta-hat (`_precoder`)
+    parser.add_argument("--beta", type=float)
+    parser.add_argument("--phi", type=_parse_angle)
     parser.add_argument("--snr-db", type=float, default=15.0)
     parser.add_argument("--snapshots", type=int, default=2000)
     parser.add_argument("--seed", type=_parse_seed, default=0, help="integer >= 0 (default: %(default)s)")
@@ -146,6 +147,8 @@ def _cmd_reproduce(args):
         if "=" not in item:
             raise ValueError(f"--set expects key=value, got {item!r}")
         key, raw = (part.strip() for part in item.split("=", 1))
+        if key in overrides:
+            raise ValueError(f"--set {key!r} given more than once")
         overrides[key] = _parse_override_value(key, raw)
     config = ExperimentConfig(figure_id=args.figure, seed=args.seed, overrides=overrides, output_dir=args.out)
     table, checks, csv_path, svg_path = reproduce(config)
@@ -209,13 +212,18 @@ def _cmd_attack_opt(args):
     return 0
 
 
+def _precoder(args):
+    """The precoder flags given, as `AttackerConfig.single` keywords; it defaults the others."""
+    return {name: value for name, value in (("beta", args.beta), ("phi", args.phi)) if value is not None}
+
+
 def _cmd_synth(args):
     geom = ArrayGeometry(args.num_antennas, args.spacing)
     noise = NoiseModel.from_db(args.snr_db)
     if args.theta_hat is not None:
-        attacker = AttackerConfig.single(args.theta_hat, args.beta, args.phi)
+        attacker = AttackerConfig.single(args.theta_hat, **_precoder(args))
         block = synthesize_attack(geom, attacker, noise, args.snapshots, args.seed)
-    elif (args.beta, args.phi) != (1.0, 0.0):
+    elif _precoder(args):
         raise ValueError("--beta and --phi set the attack precoder; they need --theta-hat")
     else:
         block = synthesize_legitimate(geom, args.theta, noise, args.snapshots, args.seed)
@@ -258,7 +266,7 @@ def _cmd_verify(args):
 def _cmd_sweep_far_frr(args):
     geom = ArrayGeometry(args.num_antennas, args.spacing)
     noise = NoiseModel.from_db(args.snr_db)
-    attacker = AttackerConfig.single(args.theta_hat, args.beta, args.phi)
+    attacker = AttackerConfig.single(args.theta_hat, **_precoder(args))
     sweep = far_frr_sweep(
         geom,
         args.theta,

@@ -86,19 +86,49 @@ def _angle_grid(step, half_width):
     return step * np.arange(-kmax, kmax + 1)
 
 
-@functools.lru_cache(maxsize=8)
-def _manifold(geom, grid_step):
-    """Angle grid and the M x grid steering manifold, built once per (geometry, step).
+class _GridTables(NamedTuple):
+    """The cached, read-only tables of one (geometry, grid step); see `_grid_tables`."""
 
-    Column g is `steering_vector(geom, grid[g])` bit for bit. `ArrayGeometry`
-    hashes and compares by (num_elements, spacing), so the key is
-    (M, spacing, grid_step). Both arrays are shared, so they are read-only.
+    grid: np.ndarray
+    manifold: np.ndarray
+    conj_columns: np.ndarray | None = None
+    rise: np.ndarray | None = None
+    spans: np.ndarray | None = None
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_tables(geom, grid_step):
+    """The angle grid, its steering manifold and the bounded scan's tables, built once per (geometry, step).
+
+    `ArrayGeometry` hashes and compares by (num_elements, spacing), so the
+    key is (M, spacing, grid_step). Every array is shared, so read-only.
+    - `grid`: `_angle_grid(grid_step, pi / 2)`; `manifold`: the M x grid
+      steering manifold, column g `steering_vector(geom, grid[g])` bit for bit.
+    - `conj_columns`: the conjugate manifold at the coarse points, grid
+      indices 0, K, 2K, ... and the last one (K = `_COARSE_STEP`), one row
+      each; cell j lies between coarse points j and j + 1.
+    - `rise`: per cell of sine width w, kappa (M - 1) M w / 2 + 2 `_rounding_allowance`.
+      g - M/2, g = |u^H a|^2, is a trigonometric polynomial of degree M - 1
+      in kappa sin(angle) and at most M/2 in magnitude, so by Bernstein's
+      inequality no g in the cell exceeds (g_j + g_(j+1) + kappa (M - 1) M w / 2) / 2,
+      and a cell can reach g_best only if g_j + g_(j+1) + rise >= 2 g_best.
+    - `spans`: per cell, the grid indices from one before its first point
+      to one after its last, clipped to the grid.
+    The last three are None for a grid of at most one cell.
     """
     grid = _angle_grid(grid_step, math.pi / 2)
     manifold = np.ascontiguousarray(steering_vector(geom, grid).T)
-    grid.setflags(write=False)
-    manifold.setflags(write=False)
-    return grid, manifold
+    tables = [grid, manifold]
+    last = grid.size - 1
+    if last > _COARSE_STEP:
+        points = np.append(np.arange(0, last, _COARSE_STEP), last)
+        m, kappa = geom.num_elements, geom.wavenumber_scale
+        rise = kappa * (m - 1) * m / 2 * np.diff(np.sin(grid[points])) + 2.0 * _rounding_allowance(m, kappa)
+        spans = _COARSE_STEP * np.arange(points.size - 1)[:, None] + np.arange(-1, _COARSE_STEP + 2)
+        tables += [np.ascontiguousarray(manifold[:, points].conj().T), rise, np.clip(spans, 0, last)]
+    for table in tables:
+        table.setflags(write=False)
+    return _GridTables(*tables)
 
 
 def _peak_mask(values):
@@ -137,9 +167,9 @@ def _gains(signal_basis, manifold):
 def _heights(signal_basis, manifold):
     """Pseudospectrum 1 / max(M - ||E_s^H a||^2, tiny) at the manifold's columns, for (..., M, k) signal bases E_s.
 
-    `manifold` is the whole grid's (`_spectrum`) or a subset of its columns
-    (the bounded scan of `one_source_estimates`); `_gains` makes each
-    height the same bits either way.
+    `manifold` is the whole grid's (`_full_heights`) or a subset of its
+    columns (the bounded scan of `one_source_estimates`); `_gains` makes
+    each height the same bits either way.
     """
     return 1.0 / np.maximum(manifold.shape[0] - _gains(signal_basis, manifold), _TINY)
 
@@ -173,8 +203,8 @@ def _full_heights(vals, vecs, manifold, num_sources):
     return values
 
 
-def _spectrum(mat, geom, grid_step, num_sources):
-    """(grid, heights) of the MUSIC pseudospectrum 1 / ||E_n^H a||^2 of a covariance or of a (..., M, M) stack.
+def pseudospectrum(mat, geom, grid_step=DEFAULT_GRID_STEP, num_sources=1):
+    """MUSIC pseudospectrum 1 / ||E_n^H a||^2 of one covariance `mat` over the angle grid, with its peaks.
 
     E_n spans the M - num_sources eigenvectors with the smallest
     eigenvalues. The denominator is computed from the num_sources principal
@@ -184,19 +214,14 @@ def _spectrum(mat, geom, grid_step, num_sources):
     from the rest (`_undetermined`, as for a zero or an identity matrix)
     the signal subspace is undetermined: every height is
     1 / (M - num_sources), which has no strict local maximum. `grid` is the
-    cached, read-only grid of `_manifold`.
+    cached, read-only grid of `_grid_tables`.
     """
-    vals, vecs = _signal_eig(mat, geom, num_sources)
-    grid, manifold = _manifold(geom, grid_step)
-    return grid, _full_heights(vals, vecs, manifold, num_sources)
-
-
-def pseudospectrum(mat, geom, grid_step=DEFAULT_GRID_STEP, num_sources=1):
-    """MUSIC pseudospectrum of one covariance `mat` over the angle grid (`_spectrum`), with its peaks."""
     if np.ndim(mat) != 2:
         raise ValueError(f"expected one covariance matrix, got shape {np.shape(mat)}")
-    grid, values = _spectrum(mat, geom, grid_step, num_sources)
-    return MusicSpectrum(grid=grid, values=values, peaks=_find_peaks(grid, values))
+    vals, vecs = _signal_eig(mat, geom, num_sources)
+    tables = _grid_tables(geom, grid_step)
+    values = _full_heights(vals, vecs, tables.manifold, num_sources)
+    return MusicSpectrum(grid=tables.grid, values=values, peaks=_find_peaks(tables.grid, values))
 
 
 def peak_angles(spectrum, num_sources):
@@ -219,16 +244,18 @@ def estimate_aoa_from_covariance(mat, geom, num_sources=1, grid_step=DEFAULT_GRI
 def _rounding_allowance(m, kappa):
     """Rounding slack of the bounded scan's cell test, in units of g = |u^H a|^2, from M and eps alone.
 
-    With eps the float64 machine epsilon and slope = kappa (M - 1) M:
+    With eps the float64 machine epsilon and slope = kappa (M - 1) M / 2,
+    the Bernstein bound on g's slope in sin(angle) (`_grid_tables`' `rise`):
     - a manifold entry exp(-1j kappa m sin(angle)) is within
       3 kappa (M - 1) eps + 3 eps of the exact response at that grid angle
       (phase, then exp), and an M-term complex dot product adds
       2 (M + 2) eps per unit of sum |u_m| <= sqrt(M); so a computed g, by
       BLAS or by einsum, is within `value` = M (2 beta + 4 eps) of the g of
       the exact response, beta = (3 kappa (M - 1) + 2 M + 7) eps;
-    - eigh's unit vector has ||u||^2 <= 1 + 4 M eps, which raises the
-      Bernstein slope by that factor over a cell of sine width at most 2,
-      and a computed sine width is within 3 eps of the exact one;
+    - eigh's unit vector has ||u||^2 <= 1 + 4 M eps, which scales g, and so
+      |g - M/2|'s bound and the slope, by that factor over a cell of sine
+      width at most 2, and a computed sine width is within 3 eps of the
+      exact one: slope (4 M + 1.5) eps once the cell bound halves them;
     - forming the cell bound adds at most 4 eps (M + slope);
     - a skipped point's g must end 4 M eps below the best coarse point's
       for its height to compare strictly lower after `M - g` and `1 / d`.
@@ -236,50 +263,9 @@ def _rounding_allowance(m, kappa):
     coarse ends (halved, twice) and the best coarse point's two.
     """
     eps = np.finfo(float).eps
-    slope = kappa * (m - 1) * m
+    slope = kappa * (m - 1) * m / 2
     value = m * (2.0 * (3.0 * kappa * (m - 1) + 2 * m + 7) * eps + 4.0 * eps)
     return 4.0 * value + slope * (4 * m + 1.5) * eps + 4.0 * eps * (m + slope) + 4.0 * m * eps
-
-
-class _CoarseScan(NamedTuple):
-    """The bounded scan's tables for one (geometry, grid step); see `_coarse_scan`."""
-
-    conj_columns: np.ndarray
-    rise: np.ndarray
-    spans: np.ndarray
-    fresh: np.ndarray
-
-
-@functools.lru_cache(maxsize=8)
-def _coarse_scan(geom, grid_step):
-    """The `_CoarseScan` of `_manifold(geom, grid_step)`, or None for a grid of at most one cell.
-
-    - `conj_columns`: the conjugate manifold at the coarse points, grid
-      indices 0, K, 2K, ... and the last one (K = `_COARSE_STEP`), one row
-      each; cell j lies between coarse points j and j + 1.
-    - `rise`: per cell of sine width w, kappa (M - 1) M w + 2 `_rounding_allowance`.
-      By Bernstein's inequality no g in the cell exceeds
-      (g_j + g_(j+1) + kappa (M - 1) M w) / 2, so a cell can reach g_best
-      only if g_j + g_(j+1) + rise >= 2 g_best.
-    - `spans`: per cell, the grid indices from one before its first point
-      to one after its last; `fresh` marks those inside the grid and not
-      repeated by the previous cell's span. The last three of a span are
-      the first three of the next, so the spans of a run of cells, each
-      without those three when its predecessor is in the run, are the
-      run's indices in order, once each.
-    """
-    grid, manifold = _manifold(geom, grid_step)
-    last = grid.size - 1
-    if last <= _COARSE_STEP:
-        return None
-    points = np.append(np.arange(0, last, _COARSE_STEP), last)
-    m, kappa = geom.num_elements, geom.wavenumber_scale
-    rise = kappa * (m - 1) * m * np.diff(np.sin(grid[points])) + 2.0 * _rounding_allowance(m, kappa)
-    spans = _COARSE_STEP * np.arange(points.size - 1)[:, None] + np.arange(-1, _COARSE_STEP + 2)
-    tables = (np.ascontiguousarray(manifold[:, points].conj().T), rise, spans, (spans >= 0) & (spans <= last))
-    for table in tables:
-        table.setflags(write=False)
-    return _CoarseScan(*tables)
 
 
 def _first_strict_peaks(grid, values):
@@ -292,19 +278,20 @@ def _first_strict_peaks(grid, values):
 def one_source_estimates(covs, geom, grid_step=DEFAULT_GRID_STEP):
     """One-source MUSIC estimates of a covariance or a (..., M, M) stack, shape (...).
 
-    The highest `_peak_mask` peak of each `_spectrum` row, the first on a
-    tie (the smaller angle). Each entry equals
+    The highest `_peak_mask` peak of each row's pseudospectrum, the first
+    on a tie (the smaller angle). Each entry equals
     `estimate_aoa_from_covariance(cov, geom, 1, grid_step)[0]`, and is nan
     where that raises DegenerateSpectrumError: the spectrum has no strict
     local maximum, as when its signal subspace is undetermined.
 
     The grid is not scanned whole. g = |u^H a|^2, u the principal
     eigenvector, is a trigonometric polynomial of degree M - 1 in
-    kappa sin(angle) and at most M, so by Bernstein's inequality its slope
-    in sin(angle) is at most kappa (M - 1) M. g is taken at every
-    `_COARSE_STEP`-th grid point, and only the cells that this bound lets
-    reach a row's best coarse value (for any row of the stack) are scanned
-    in full, one neighbour past each end, with `_heights` on those columns:
+    kappa sin(angle) with |g - M/2| <= M/2, so by Bernstein's inequality
+    its slope in sin(angle) is at most kappa (M - 1) M / 2. g is taken at
+    every `_COARSE_STEP`-th grid point, and only the cells that this bound
+    lets reach a row's best coarse value (for any row of the stack) are
+    scanned in full, one neighbour past each end, with `_heights` on the
+    union of those columns (`_grid_tables`' `spans`, marked in one mask):
     every height elsewhere is strictly lower. Where a row's first maximum
     among them is a strict local maximum, it is the row's estimate. The
     other rows (a plateau or a tie next to the maximum, an undetermined
@@ -312,33 +299,29 @@ def one_source_estimates(covs, geom, grid_step=DEFAULT_GRID_STEP):
     of the whole grid.
     """
     vals, vecs = _signal_eig(covs, geom, 1)
-    grid, manifold = _manifold(geom, grid_step)
-    scan = _coarse_scan(geom, grid_step)
-    m, shape = geom.num_elements, vals.shape[:-1]
+    tables = _grid_tables(geom, grid_step)
+    grid, m, shape = tables.grid, geom.num_elements, vals.shape[:-1]
     vals, vecs = vals.reshape(-1, m), vecs.reshape(-1, m, m)
-    if scan is None or not len(vals):
-        return _first_strict_peaks(grid, _full_heights(vals, vecs, manifold, 1)).reshape(shape)
-    basis = vecs[..., -1:]
-    # coarse g by BLAS: the bound needs only its rounding, which `rise` allows for, not its bits
-    coarse = np.abs(scan.conj_columns @ basis)[..., 0] ** 2
-    reach = coarse[:, :-1] + coarse[:, 1:] + scan.rise >= 2.0 * coarse.max(axis=1, keepdims=True)
-    cells = reach.any(axis=0).nonzero()[0]
-    take = scan.fresh[cells]
-    take[1:, :3] &= (cells[1:] - cells[:-1] > 1)[:, None]
-    cols = scan.spans[cells][take]
-    heights = _heights(basis, manifold[:, cols])
-    # every height outside `cols` is below the best coarse point's, which is inside, and so is a run's
-    # outer point: the first maximum is the grid's, its neighbours in `cols` are its grid neighbours, the
-    # left one is lower, and it is a strict peak unless the right one ties it (the last point has none)
-    top = heights.argmax(axis=1)
-    rows, at = np.arange(len(top)), cols[top]
-    strict = heights[rows, np.minimum(top + 1, cols.size - 1)] < heights[rows, top]
-    strict |= at == grid.size - 1
-    strict &= ~_undetermined(vals, 1)
-    est = grid[at]
-    if not strict.all():
-        rest = ~strict
-        est[rest] = _first_strict_peaks(grid, _full_heights(vals[rest], vecs[rest], manifold, 1))
+    est, rest = np.full(len(vals), np.nan), np.ones(len(vals), dtype=bool)
+    if tables.spans is not None and len(vals):
+        basis = vecs[..., -1:]
+        # coarse g by BLAS: the bound needs only its rounding, which `rise` allows for, not its bits
+        coarse = np.abs(tables.conj_columns @ basis)[..., 0] ** 2
+        reach = coarse[:, :-1] + coarse[:, 1:] + tables.rise >= 2.0 * coarse.max(axis=1, keepdims=True)
+        scanned = np.zeros(grid.size, dtype=bool)
+        scanned[tables.spans[reach.any(axis=0)]] = True
+        cols = scanned.nonzero()[0]
+        heights = _heights(basis, tables.manifold[:, cols])
+        # every height outside `cols` is below the best coarse point's, which is inside, and so is a run's
+        # outer point: the first maximum is the grid's, its neighbours in `cols` are its grid neighbours, the
+        # left one is lower, and it is a strict peak unless the right one ties it (the last point has none)
+        top = heights.argmax(axis=1)
+        rows, at = np.arange(len(top)), cols[top]
+        strict = heights[rows, np.minimum(top + 1, cols.size - 1)] < heights[rows, top]
+        strict |= at == grid.size - 1
+        est, rest = grid[at], ~strict | _undetermined(vals, 1)
+    if rest.any():
+        est[rest] = _first_strict_peaks(grid, _full_heights(vals[rest], vecs[rest], tables.manifold, 1))
     return est.reshape(shape)
 
 

@@ -261,6 +261,14 @@ def test_cli_reproduce_set_non_numeric_exits_2(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_cli_reproduce_rejects_a_repeated_set_key(tmp_path, capsys):
+    for items in (["theta=0.3", "theta=0.4"], ["theta=0.3", " theta =0.3"]):
+        rc = main(["reproduce", "fig5", "--out", str(tmp_path), *(f for item in items for f in ("--set", item))])
+        assert rc == 2
+        assert "--set 'theta' given more than once" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_reproduce_default_seed_and_out(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["reproduce", "fig5"]) == 0
@@ -392,7 +400,10 @@ def test_cli_synth_uses_every_flag_given(tmp_path, capsys):
         main(["synth", "--out", str(out), "--theta", "0.3", "--theta-hat", "-0.5"])
     assert exc.value.code == 2
     assert "argument --theta-hat: not allowed with argument --theta" in capsys.readouterr().err
-    for flags in (["--beta", "7"], ["--phi", "2"], ["--theta", "0.3", "--beta", "7", "--phi", "2"]):
+    # the default values too: a flag given is a flag used
+    for flags in (
+        ["--beta", "7"], ["--phi", "2"], ["--theta", "0.3", "--beta", "7", "--phi", "2"], ["--beta", "1.0"], ["--phi", "0"]
+    ):
         assert main(["synth", "--out", str(out), *flags]) == 2
         assert "--beta and --phi set the attack precoder; they need --theta-hat" in capsys.readouterr().err
     assert not out.exists()

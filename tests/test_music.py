@@ -32,7 +32,7 @@ from aoa_pla.music import (
     sample_covariance,
     _angle_grid,
     _find_peaks,
-    _manifold,
+    _grid_tables,
     _rounding_allowance,
 )
 
@@ -324,9 +324,9 @@ def test_manifold_not_shared_across_spacing_or_grid_step():
     half, quarter = ArrayGeometry(8, 0.5), ArrayGeometry(8, 0.25)
     for geom, step in ((half, 0.01), (quarter, 0.01), (half, 0.05), (half, 0.01)):
         _assert_matches_uncached(cov, geom, step, 1)
-    assert not np.array_equal(_manifold(half, 0.01)[1], _manifold(quarter, 0.01)[1])
-    assert _manifold(half, 0.01)[0].size != _manifold(half, 0.05)[0].size
-    assert _manifold(half, 0.01)[1] is _manifold(ArrayGeometry(8, 0.5), 0.01)[1]
+    assert not np.array_equal(_grid_tables(half, 0.01).manifold, _grid_tables(quarter, 0.01).manifold)
+    assert _grid_tables(half, 0.01).grid.size != _grid_tables(half, 0.05).grid.size
+    assert _grid_tables(half, 0.01).manifold is _grid_tables(ArrayGeometry(8, 0.5), 0.01).manifold
 
 
 def test_cached_grid_and_manifold_are_read_only():
@@ -337,7 +337,7 @@ def test_cached_grid_and_manifold_are_read_only():
     with pytest.raises(ValueError, match="read-only"):
         spec.grid[0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
-        _manifold(geom, 0.001)[1][0, 0] = 0.0
+        _grid_tables(geom, 0.001).manifold[0, 0] = 0.0
     assert estimate_aoa(block, geom, grid_step=0.001) == before
 
 
@@ -423,8 +423,10 @@ _COVARIANCE_KINDS = ("random", "edge", "plateau", "mirrored", "two_lobe", "near_
 @st.composite
 def _covariance_stacks(draw):
     geom = ArrayGeometry(draw(st.integers(2, 16)), draw(st.floats(0.1, 2.0)))
-    # 0.1 is a grid of 31 points, under two coarse cells of the bounded scan; 2.0 a grid of one point
-    grid_step = draw(st.sampled_from((1e-4, 0.001, 0.0037, 0.05, 0.1, 2.0)))
+    # 0.1 is a grid of 31 points, under two coarse cells of the bounded scan; 0.17 two cells, the last two
+    # steps wide; 0.19 a grid of 17 points, one cell, which the full scan takes; 0.001001 a last cell two
+    # steps wide; 2.0 a grid of one point
+    grid_step = draw(st.sampled_from((1e-4, 0.001, 0.001001, 0.0037, 0.05, 0.1, 0.17, 0.19, 2.0)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kinds = draw(st.lists(st.sampled_from(_COVARIANCE_KINDS), min_size=1, max_size=6))
     return geom, grid_step, np.stack([_constructed_covariance(kind, geom, rng) for kind in kinds])
@@ -444,9 +446,9 @@ def test_one_source_estimates_equal_per_matrix_estimates(scenario):
 @settings(max_examples=100, deadline=None)
 @given(_covariance_stacks())
 def test_bounded_scan_heights_equal_the_full_spectrum_bit_for_bit(scenario):
-    """Every height the estimator computes on a subset of the grid's columns is the full `_spectrum` height there."""
+    """Every height the estimator computes on a subset of the grid's columns is the full `_full_heights` height there."""
     geom, grid_step, covs = scenario
-    _, manifold = _manifold(geom, grid_step)
+    manifold = _grid_tables(geom, grid_step).manifold
     real_heights = music._heights
     calls = []
 
@@ -458,9 +460,10 @@ def test_bounded_scan_heights_equal_the_full_spectrum_bit_for_bit(scenario):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(music, "_heights", recording_heights)
         one_source_estimates(covs, geom, grid_step)
-    _, full = music._spectrum(covs, geom, grid_step, 1)
+    vals, vecs = hermitian_eig(covs)
+    full = music._full_heights(vals, vecs, manifold, 1)
     # an undetermined row's spectrum is flat by rule, not by product
-    determined = ~music._undetermined(hermitian_eig(covs)[0], 1)
+    determined = ~music._undetermined(vals, 1)
     index = {column.tobytes(): g for g, column in enumerate(manifold.T)}
     # the first call is on every row: the bounded scan's, or the full scan of a grid of at most one cell;
     # a later one is the full scan of the rows left over
@@ -473,10 +476,11 @@ def test_bounded_scan_heights_equal_the_full_spectrum_bit_for_bit(scenario):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 24), st.floats(0.1, 2.0), st.booleans(), st.integers(0, 2**32 - 1))
 def test_gain_slope_within_the_bernstein_bound(m, spacing, steered, seed):
-    """g = |u^H a(s)|^2 rises at most kappa (M - 1) M per unit of s = sin(angle), up to the derived rounding allowance.
+    """g = |u^H a(s)|^2 rises at most kappa (M - 1) M / 2 per unit of s = sin(angle), up to the derived rounding allowance.
 
-    A steered u (a steering vector with a little noise) puts g's whole mass
-    M in one lobe, where the slope comes within a small factor of the bound.
+    g - M/2 has g's degree and |g - M/2| <= M/2. A steered u (a steering
+    vector with a little noise) puts g's whole mass M in one lobe, where the
+    slope comes within a small factor of the bound.
     """
     geom = ArrayGeometry(m, spacing)
     kappa = geom.wavenumber_scale
@@ -488,7 +492,7 @@ def test_gain_slope_within_the_bernstein_bound(m, spacing, steered, seed):
     angles = np.arcsin(np.linspace(-1.0, 1.0, 20_001))
     gains = music._gains(u[:, None], steering_vector(geom, angles).T)
     rise = np.abs(np.diff(gains))
-    assert np.all(rise <= kappa * (m - 1) * m * np.abs(np.diff(np.sin(angles))) + _rounding_allowance(m, kappa))
+    assert np.all(rise <= kappa * (m - 1) * m / 2 * np.abs(np.diff(np.sin(angles))) + _rounding_allowance(m, kappa))
 
 
 def test_bounded_scan_evaluates_under_a_quarter_of_the_grid(monkeypatch):
@@ -498,7 +502,7 @@ def test_bounded_scan_evaluates_under_a_quarter_of_the_grid(monkeypatch):
     """
     p = ExperimentConfig("fig2").params()
     geom = ArrayGeometry(16)
-    grid, _ = _manifold(geom, p["grid_step"])
+    grid = _grid_tables(geom, p["grid_step"]).grid
     noise = NoiseModel.from_db(15.0)
     attacker = AttackerConfig((p["theta_hat"],) * 2, (0.5, 0.5))
     real_heights = music._heights
@@ -523,7 +527,7 @@ def test_bounded_scan_evaluates_under_a_quarter_of_the_grid(monkeypatch):
 
 def test_one_source_estimates_at_the_grid_edge_on_a_plateau_and_on_a_tie():
     geom = ArrayGeometry(8)
-    grid, _ = _manifold(geom, 0.001)
+    grid = _grid_tables(geom, 0.001).grid
     rng = np.random.default_rng(3)
     covs = {kind: _constructed_covariance(kind, geom, rng) for kind in ("edge", "plateau", "mirrored")}
     edge, plateau, mirrored = one_source_estimates(np.stack(list(covs.values())), geom)
