@@ -72,6 +72,15 @@ class ArrayGeometry:
             raise ValueError(f"num_elements must be an integer >= 2, got {self.num_elements}")
         if not (self.spacing > 0 and math.isfinite(self.spacing)):
             raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
+        try:
+            phase_span = self.wavenumber_scale * (self.num_elements - 1)
+        except OverflowError:  # an M beyond a float's range
+            phase_span = math.inf
+        if not math.isfinite(phase_span):
+            raise ValueError(
+                f"spacing {self.spacing!r} overflows the steering phases of M = {self.num_elements} "
+                "elements: 2 pi spacing (M - 1) is not finite"
+            )
 
     @property
     def wavenumber_scale(self):

@@ -621,15 +621,16 @@ def emit_plot(table, kind, path, x_column, y_columns=None, group_by=None):
 def reproduce(config):
     """Run one figure, write `<figure_id>__<seed>.csv/.svg`, run its checks.
 
-    Returns (table, checks, csv_path, svg_path).
+    The plot is drawn first, so a table that cannot be plotted raises
+    before either file is written. Returns (table, checks, csv_path, svg_path).
     """
     table = run_figure(config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{config.figure_id}__{config.seed}.csv"
     svg_path = out / f"{config.figure_id}__{config.seed}.svg"
-    write_csv(table, csv_path)
     kind, x_col, y_cols, group = FIGURES[config.figure_id].plot
     emit_plot(table, kind, svg_path, x_col, y_cols, group)
+    write_csv(table, csv_path)
     checks = evaluate_checks(config.figure_id, table)
     return table, checks, csv_path, svg_path

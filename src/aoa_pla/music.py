@@ -91,9 +91,9 @@ class _GridTables(NamedTuple):
 
     grid: np.ndarray
     manifold: np.ndarray
-    conj_columns: np.ndarray | None = None
-    rise: np.ndarray | None = None
-    spans: np.ndarray | None = None
+    conj_columns: np.ndarray
+    rise: np.ndarray
+    spans: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
@@ -114,21 +114,19 @@ def _grid_tables(geom, grid_step):
       and a cell can reach g_best only if g_j + g_(j+1) + rise >= 2 g_best.
     - `spans`: per cell, the grid indices from one before its first point
       to one after its last, clipped to the grid.
-    The last three are None for a grid of at most one cell.
+    A grid of 2 to K + 1 points is one cell; a grid of one point has no cell.
     """
     grid = _angle_grid(grid_step, math.pi / 2)
     manifold = np.ascontiguousarray(steering_vector(geom, grid).T)
-    tables = [grid, manifold]
     last = grid.size - 1
-    if last > _COARSE_STEP:
-        points = np.append(np.arange(0, last, _COARSE_STEP), last)
-        m, kappa = geom.num_elements, geom.wavenumber_scale
-        rise = kappa * (m - 1) * m / 2 * np.diff(np.sin(grid[points])) + 2.0 * _rounding_allowance(m, kappa)
-        spans = _COARSE_STEP * np.arange(points.size - 1)[:, None] + np.arange(-1, _COARSE_STEP + 2)
-        tables += [np.ascontiguousarray(manifold[:, points].conj().T), rise, np.clip(spans, 0, last)]
+    points = np.append(np.arange(0, last, _COARSE_STEP), last)
+    m, kappa = geom.num_elements, geom.wavenumber_scale
+    rise = kappa * (m - 1) * m / 2 * np.diff(np.sin(grid[points])) + 2.0 * _rounding_allowance(m, kappa)
+    spans = _COARSE_STEP * np.arange(points.size - 1)[:, None] + np.arange(-1, _COARSE_STEP + 2)
+    tables = _GridTables(grid, manifold, np.ascontiguousarray(manifold[:, points].conj().T), rise, np.clip(spans, 0, last))
     for table in tables:
         table.setflags(write=False)
-    return _GridTables(*tables)
+    return tables
 
 
 def _peak_mask(values):
@@ -167,9 +165,10 @@ def _gains(signal_basis, manifold):
 def _heights(signal_basis, manifold):
     """Pseudospectrum 1 / max(M - ||E_s^H a||^2, tiny) at the manifold's columns, for (..., M, k) signal bases E_s.
 
-    `manifold` is the whole grid's (`_full_heights`) or a subset of its
-    columns (the bounded scan of `one_source_estimates`); `_gains` makes
-    each height the same bits either way.
+    `manifold` is the whole grid's (`pseudospectrum`, a tie in
+    `one_source_estimates`) or a subset of its columns (the bounded scan
+    of `one_source_estimates`); `_gains` makes each height the same bits
+    either way.
     """
     return 1.0 / np.maximum(manifold.shape[0] - _gains(signal_basis, manifold), _TINY)
 
@@ -195,14 +194,6 @@ def _undetermined(vals, num_sources):
     return gap <= _HERMITIAN_TOL * np.maximum(vals[..., -1], 0.0)
 
 
-def _full_heights(vals, vecs, manifold, num_sources):
-    """Heights at every grid point, and the flat 1 / (M - num_sources) where the subspace is undetermined."""
-    m = vals.shape[-1]
-    values = _heights(vecs[..., m - num_sources :], manifold)
-    values[_undetermined(vals, num_sources)] = 1.0 / (m - num_sources)
-    return values
-
-
 def pseudospectrum(mat, geom, grid_step=DEFAULT_GRID_STEP, num_sources=1):
     """MUSIC pseudospectrum 1 / ||E_n^H a||^2 of one covariance `mat` over the angle grid, with its peaks.
 
@@ -220,7 +211,10 @@ def pseudospectrum(mat, geom, grid_step=DEFAULT_GRID_STEP, num_sources=1):
         raise ValueError(f"expected one covariance matrix, got shape {np.shape(mat)}")
     vals, vecs = _signal_eig(mat, geom, num_sources)
     tables = _grid_tables(geom, grid_step)
-    values = _full_heights(vals, vecs, tables.manifold, num_sources)
+    m = geom.num_elements
+    values = _heights(vecs[:, m - num_sources :], tables.manifold)
+    if _undetermined(vals, num_sources):
+        values[:] = 1.0 / (m - num_sources)
     return MusicSpectrum(grid=tables.grid, values=values, peaks=_find_peaks(tables.grid, values))
 
 
@@ -268,13 +262,6 @@ def _rounding_allowance(m, kappa):
     return 4.0 * value + slope * (4 * m + 1.5) * eps + 4.0 * eps * (m + slope) + 4.0 * m * eps
 
 
-def _first_strict_peaks(grid, values):
-    """The angle of the highest `_peak_mask` peak of each row, the first on a tie; nan for a row with none."""
-    peaks = _peak_mask(values)
-    best = np.argmax(np.where(peaks, values, -np.inf), axis=-1)
-    return np.where(np.any(peaks, axis=-1), grid[best], np.nan)
-
-
 def one_source_estimates(covs, geom, grid_step=DEFAULT_GRID_STEP):
     """One-source MUSIC estimates of a covariance or a (..., M, M) stack, shape (...).
 
@@ -293,35 +280,38 @@ def one_source_estimates(covs, geom, grid_step=DEFAULT_GRID_STEP):
     scanned in full, one neighbour past each end, with `_heights` on the
     union of those columns (`_grid_tables`' `spans`, marked in one mask):
     every height elsewhere is strictly lower. Where a row's first maximum
-    among them is a strict local maximum, it is the row's estimate. The
-    other rows (a plateau or a tie next to the maximum, an undetermined
-    subspace, a grid of at most one cell, an empty stack) take the heights
-    of the whole grid.
+    among them is a strict local maximum, it is the row's estimate. Two
+    rules need no heights: a one-point grid has no strict peak, and a row
+    whose subspace is undetermined (`_undetermined`) has a flat spectrum;
+    both are nan. A determined row whose maximum ties its right neighbour
+    (as on a plateau) takes the peaks of its whole spectrum, one row at a
+    time, and an empty stack gives an empty array.
     """
     vals, vecs = _signal_eig(covs, geom, 1)
     tables = _grid_tables(geom, grid_step)
     grid, m, shape = tables.grid, geom.num_elements, vals.shape[:-1]
-    vals, vecs = vals.reshape(-1, m), vecs.reshape(-1, m, m)
-    est, rest = np.full(len(vals), np.nan), np.ones(len(vals), dtype=bool)
-    if tables.spans is not None and len(vals):
-        basis = vecs[..., -1:]
-        # coarse g by BLAS: the bound needs only its rounding, which `rise` allows for, not its bits
-        coarse = np.abs(tables.conj_columns @ basis)[..., 0] ** 2
-        reach = coarse[:, :-1] + coarse[:, 1:] + tables.rise >= 2.0 * coarse.max(axis=1, keepdims=True)
-        scanned = np.zeros(grid.size, dtype=bool)
-        scanned[tables.spans[reach.any(axis=0)]] = True
-        cols = scanned.nonzero()[0]
-        heights = _heights(basis, tables.manifold[:, cols])
-        # every height outside `cols` is below the best coarse point's, which is inside, and so is a run's
-        # outer point: the first maximum is the grid's, its neighbours in `cols` are its grid neighbours, the
-        # left one is lower, and it is a strict peak unless the right one ties it (the last point has none)
-        top = heights.argmax(axis=1)
-        rows, at = np.arange(len(top)), cols[top]
-        strict = heights[rows, np.minimum(top + 1, cols.size - 1)] < heights[rows, top]
-        strict |= at == grid.size - 1
-        est, rest = grid[at], ~strict | _undetermined(vals, 1)
-    if rest.any():
-        est[rest] = _first_strict_peaks(grid, _full_heights(vals[rest], vecs[rest], tables.manifold, 1))
+    if grid.size == 1 or not vals.size:
+        return np.full(shape, np.nan)
+    vals, basis = vals.reshape(-1, m), vecs.reshape(-1, m, m)[..., -1:]
+    # coarse g by BLAS: the bound needs only its rounding, which `rise` allows for, not its bits
+    coarse = np.abs(tables.conj_columns @ basis)[..., 0] ** 2
+    reach = coarse[:, :-1] + coarse[:, 1:] + tables.rise >= 2.0 * coarse.max(axis=1, keepdims=True)
+    scanned = np.zeros(grid.size, dtype=bool)
+    scanned[tables.spans[reach.any(axis=0)]] = True
+    cols = scanned.nonzero()[0]
+    heights = _heights(basis, tables.manifold[:, cols])
+    # every height outside `cols` is below the best coarse point's, which is inside, and so is a run's
+    # outer point: the first maximum is the grid's, its neighbours in `cols` are its grid neighbours, the
+    # left one is lower, and it is a strict peak unless the right one ties it (the last point has none)
+    top = heights.argmax(axis=1)
+    rows, at = np.arange(len(top)), cols[top]
+    strict = heights[rows, np.minimum(top + 1, cols.size - 1)] < heights[rows, top]
+    strict |= at == grid.size - 1
+    determined = ~_undetermined(vals, 1)
+    est = np.where(strict & determined, grid[at], np.nan)
+    for row in np.flatnonzero(~strict & determined):
+        peaks = _find_peaks(grid, _heights(basis[row], tables.manifold))
+        est[row] = peaks[0][0] if peaks else np.nan
     return est.reshape(shape)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from statistics import NormalDist
 
 import numpy as np
@@ -103,6 +104,15 @@ def test_geometry_validation():
     with pytest.raises(ValueError):
         ArrayGeometry(4, spacing=math.inf)
     assert ArrayGeometry(4).wavenumber_scale == pytest.approx(math.pi)
+
+
+def test_geometry_rejects_a_spacing_whose_phases_overflow():
+    # kappa = 2 pi d is inf at d = 1e308; at d = 1e307 kappa is finite but kappa (M - 1) is not at M = 100;
+    # an M of 10^400 is beyond a float's range
+    for m, spacing in ((16, 1e308), (100, 1e307), (10**400, 0.5)):
+        with pytest.raises(ValueError, match=re.escape(f"spacing {spacing!r} overflows the steering phases of M = {m} ")):
+            ArrayGeometry(m, spacing)
+    assert np.isfinite(steering_vector(ArrayGeometry(2, 1e307), 0.3)).all()
 
 
 def test_noise_model_from_db_and_floor():

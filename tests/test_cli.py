@@ -224,6 +224,37 @@ def test_cli_all_zero_block_is_degenerate(tmp_path, capsys, m):
     assert "diagnostic: degenerate spectrum: found 0 local maxima, need 1" in out
 
 
+def test_cli_spacing_whose_phases_overflow_exits_2(tmp_path, capsys):
+    message = "error: spacing 1e+308 overflows the steering phases of M = 16 elements: 2 pi spacing (M - 1) is not finite\n"
+    out = tmp_path / "blk.txt"
+    assert main(["synth", "--out", str(out), "--spacing", "1e308"]) == 2
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+    assert main(["synth", "--out", str(out)]) == 0
+    acl = tmp_path / "acl.txt"
+    save_acl(acl, [enroll("alice", [0.4])])
+    verify = ["verify", "--acl", str(acl), "--identity", "alice", "--threshold", "0.05", "--input", str(out)]
+    capsys.readouterr()
+    assert main(verify + ["--spacing", "1e308"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "figure, items, error",
+    [
+        ("fig2", ("grid_step=2.0", "trials=2", "num_snapshots=5"), "nothing to plot"),
+        ("fig5", ("snr_alice_db=-300",), "is empty"),
+    ],
+    ids=["one_point_grid", "flat_y_range"],
+)
+def test_cli_reproduce_writes_no_file_when_the_plot_fails(tmp_path, capsys, figure, items, error):
+    rc = main(["reproduce", figure, "--out", str(tmp_path), *(f for item in items for f in ("--set", item))])
+    assert rc == 2
+    assert error in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_parse_override_value():
     assert _parse_override_value("trials", "3000") == 3000
     assert isinstance(_parse_override_value("trials", "3000"), int)

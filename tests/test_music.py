@@ -424,8 +424,8 @@ _COVARIANCE_KINDS = ("random", "edge", "plateau", "mirrored", "two_lobe", "near_
 def _covariance_stacks(draw):
     geom = ArrayGeometry(draw(st.integers(2, 16)), draw(st.floats(0.1, 2.0)))
     # 0.1 is a grid of 31 points, under two coarse cells of the bounded scan; 0.17 two cells, the last two
-    # steps wide; 0.19 a grid of 17 points, one cell, which the full scan takes; 0.001001 a last cell two
-    # steps wide; 2.0 a grid of one point
+    # steps wide; 0.19 a grid of 17 points, one cell; 0.001001 a last cell two steps wide; 2.0 a grid of
+    # one point, which is scanned by no call
     grid_step = draw(st.sampled_from((1e-4, 0.001, 0.001001, 0.0037, 0.05, 0.1, 0.17, 0.19, 2.0)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kinds = draw(st.lists(st.sampled_from(_COVARIANCE_KINDS), min_size=1, max_size=6))
@@ -446,7 +446,7 @@ def test_one_source_estimates_equal_per_matrix_estimates(scenario):
 @settings(max_examples=100, deadline=None)
 @given(_covariance_stacks())
 def test_bounded_scan_heights_equal_the_full_spectrum_bit_for_bit(scenario):
-    """Every height the estimator computes on a subset of the grid's columns is the full `_full_heights` height there."""
+    """Every height the estimator computes on a subset of the grid's columns is the full grid's `_heights` there."""
     geom, grid_step, covs = scenario
     manifold = _grid_tables(geom, grid_step).manifold
     real_heights = music._heights
@@ -460,17 +460,18 @@ def test_bounded_scan_heights_equal_the_full_spectrum_bit_for_bit(scenario):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(music, "_heights", recording_heights)
         one_source_estimates(covs, geom, grid_step)
-    vals, vecs = hermitian_eig(covs)
-    full = music._full_heights(vals, vecs, manifold, 1)
-    # an undetermined row's spectrum is flat by rule, not by product
-    determined = ~music._undetermined(vals, 1)
+    _, vecs = hermitian_eig(covs)
+    full = music._heights(vecs[..., -1:], manifold)
     index = {column.tobytes(): g for g, column in enumerate(manifold.T)}
-    # the first call is on every row: the bounded scan's, or the full scan of a grid of at most one cell;
-    # a later one is the full scan of the rows left over
+    # a grid of one point has no strict peak, so no call; otherwise the first call is the bounded scan's,
+    # on every row (undetermined ones too), and a later one is the whole spectrum of one row with a tie
+    if manifold.shape[1] == 1:
+        assert not calls
+        return
     rows, columns, heights = calls[0]
     assert rows == len(covs)
     at = [index[column.tobytes()] for column in columns.T]
-    assert np.array_equal(heights[determined], full[determined][:, at])
+    assert np.array_equal(heights, full[:, at])
 
 
 @settings(max_examples=100, deadline=None)
@@ -523,6 +524,44 @@ def test_bounded_scan_evaluates_under_a_quarter_of_the_grid(monkeypatch):
             assert len(evaluated) == before + 1
             assert evaluated[-1] < 0.25 * grid.size
             assert np.all(np.abs(estimates - (p["theta"], p["theta_hat"])[side]) <= 0.05)
+
+
+@pytest.mark.parametrize(
+    "kinds, grid_step, full_scans",
+    [
+        (("zero", "identity", "zero"), 0.001, 0),
+        (("random", "edge", "mirrored"), 0.19, 0),
+        (("random", "plateau", "zero"), 2.0, None),
+        (("random", "plateau", "edge", "plateau"), 0.001, 2),
+    ],
+    ids=["undetermined", "one_cell", "one_point", "ties"],
+)
+def test_one_source_estimates_scan_once_and_take_the_whole_grid_only_on_a_tie(kinds, grid_step, full_scans):
+    """One `_heights` call on the scanned columns of every row, then one on the whole manifold per tie row.
+
+    An undetermined row is nan by rule and a one-cell grid takes the
+    bounded scan; a one-point grid has no strict peak, so makes no call.
+    """
+    geom = ArrayGeometry(8)
+    manifold = _grid_tables(geom, grid_step).manifold
+    rng = np.random.default_rng(5)
+    covs = np.stack([_constructed_covariance(kind, geom, rng) for kind in kinds])
+    real_heights = music._heights
+    calls = []
+
+    def recording_heights(basis, columns):
+        calls.append((basis.shape, columns is manifold))
+        return real_heights(basis, columns)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(music, "_heights", recording_heights)
+        estimates = one_source_estimates(covs, geom, grid_step)
+    assert np.array_equal(estimates, [_estimate_or_nan(cov, geom, grid_step) for cov in covs], equal_nan=True)
+    if full_scans is None:
+        assert not calls and np.isnan(estimates).all()
+        return
+    assert calls[0] == ((len(covs), 8, 1), False)
+    assert calls[1:] == [((8, 1), True)] * full_scans
 
 
 def test_one_source_estimates_at_the_grid_edge_on_a_plateau_and_on_a_tie():
